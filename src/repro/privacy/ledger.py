@@ -14,7 +14,12 @@ against both failure modes:
   is fsynced, a torn tail from a crashed writer is detected by checksum
   and repaired, compaction rotates via ``os.replace``) and
   :class:`SQLiteStore` (WAL-mode SQLite, ``BEGIN IMMEDIATE``
-  transactions, ``synchronous=FULL``).
+  transactions, ``synchronous=FULL``). A transaction reads only the
+  records past the store's verified tail cursor, so its cost does not
+  grow with the ledger; the whole stream's checksums are verified when a
+  ledger is opened, by :meth:`LedgerStore.scan` (``inspect_ledger``,
+  ``ledger_health``, ``recover_ledger``) and whenever the cursor is
+  missing or fails its check.
 * :class:`DurableAccountant` wraps an in-memory accountant with
   **write-ahead intent/commit records**: a spend is admitted under the
   store's exclusive lock, journaled as an ``intent`` (the validated
@@ -141,6 +146,10 @@ _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 # ---------------------------------------------------------------------- #
 # Record encoding (shared by both backends)
 # ---------------------------------------------------------------------- #
+def _canonical_json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _record_crc(record):
     """SHA-1 of the canonical JSON of ``record`` minus its ``crc`` field.
 
@@ -148,15 +157,23 @@ def _record_crc(record):
     the checksum — and replay — see exactly the bits the writer spent.
     """
     body = {key: value for key, value in record.items() if key != "crc"}
-    return hashlib.sha1(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+    return hashlib.sha1(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
 def _encode_record(record):
-    record = dict(record)
-    record["crc"] = _record_crc(record)
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """Return ``(line, crc)``: the canonical JSON of ``record`` with its
+    checksum, and that checksum.
+
+    The record is serialised once, as the members sorting before and after
+    ``"crc"``: the checksum is taken over their join (exactly
+    :func:`_record_crc`'s body), and the line puts the ``crc`` member
+    between them — byte-identical to dumping the checksummed record."""
+    head = _canonical_json({k: v for k, v in record.items() if k < "crc"})[1:-1]
+    tail = _canonical_json({k: v for k, v in record.items() if k > "crc"})[1:-1]
+    body = ",".join(part for part in (head, tail) if part)
+    crc = hashlib.sha1(("{" + body + "}").encode("utf-8")).hexdigest()
+    line = ",".join(part for part in (head, f'"crc":"{crc}"', tail) if part)
+    return "{" + line + "}", crc
 
 
 def _decode_record(text, expected_seq):
@@ -208,14 +225,16 @@ class LedgerStore(abc.ABC):
       verifying a backend-specific tail cursor against the stream before
       trusting it (``resumed=False`` signals the cursor could not be
       verified — e.g. another process compacted — and the returned
-      records are the **whole** stream again). Spends are O(new records)
-      because of this method; the base implementation degrades to a full
-      :meth:`scan`.
+      records are the **whole** stream again, verified end to end).
+      Spends are O(new records) because of this method; the base
+      implementation degrades to a full :meth:`scan`.
     * :meth:`transact` — exclusive cross-process critical section; all
       :meth:`append` / :meth:`compact` calls happen inside one. For the
-      journal this is an ``flock`` plus torn-tail repair; for SQLite a
-      ``BEGIN IMMEDIATE`` transaction whose appends become durable
-      atomically at commit. Raises
+      journal this is an ``flock`` plus a torn-tail repair that reads
+      only the bytes past the verified cursor (the whole file only when
+      there is no verified cursor); for SQLite a ``BEGIN IMMEDIATE``
+      transaction whose appends become durable atomically at commit.
+      Whole-stream checksum verification is :meth:`scan`'s job. Raises
       :class:`~repro.exceptions.LedgerBusyError` when the bounded
       retry-with-backoff policy cannot acquire the lock.
     * :meth:`append` — add one record (``seq`` and ``crc`` are assigned
@@ -249,15 +268,18 @@ class LedgerStore(abc.ABC):
 
     def invalidate_cursor(self):
         """Forget the incremental-scan position (if the backend keeps
-        one): the next :meth:`scan_new` performs a full verification
-        scan. Called after an ambiguous write failure, when the caller's
-        mirror can no longer assume the cursor and the mirror agree on
-        what has been applied."""
+        one): the next transaction and :meth:`scan_new` read and verify
+        the whole stream. Called right after an ambiguous write failure,
+        when the caller's rolled-back mirror can no longer assume the
+        cursor and the mirror agree on what has been applied — the cursor
+        may sit past durable records the mirror never applied."""
         self._tail_cursor = None
 
     @abc.abstractmethod
     def transact(self):
-        """Context manager: exclusive cross-process critical section."""
+        """Context manager: exclusive cross-process critical section. Its
+        entry reads only what lies past the verified tail cursor, never
+        the whole stream; whole-stream verification is :meth:`scan`'s."""
 
     @abc.abstractmethod
     def append(self, payload, point=None):
@@ -285,6 +307,18 @@ class JournalStore(LedgerStore):
     mismatch or sequence gap) is unrepairable tampering/rot and raises
     :class:`~repro.exceptions.LedgerCorruptError`.
 
+    **Tail reads.** The store keeps a cursor on the last complete record
+    it has seen: its offset, ``seq`` and exact bytes. A transaction and
+    :meth:`scan_new` seek to the cursor, read the cursor record plus the
+    bytes after it, check that the record is byte-for-byte unchanged, and
+    parse and checksum only the records after it — so their cost does not
+    grow with the journal. Without a cursor (first open, or after an
+    ambiguous write failure invalidated it) or when it fails its check
+    (another process compacted or replaced the file), the whole stream is
+    read and verified from its first record. :meth:`scan` always verifies
+    the whole stream, so opening a ledger, ``inspect_ledger``,
+    ``ledger_health`` and ``recover_ledger`` check every record's checksum.
+
     The cross-process lock is ``flock`` on a sibling ``<name>.lock`` file,
     acquired non-blocking under the store's :class:`RetryPolicy`.
     """
@@ -296,10 +330,10 @@ class JournalStore(LedgerStore):
         self.retry = retry or RetryPolicy()
         self._last_seq = 0
         self._lock_fd = None
-        # (start_offset, end_offset, seq, crc) of the last complete record
-        # this instance has seen — the incremental-scan cursor. Always
-        # verified against the file bytes before being trusted, so it is a
-        # hint, never an assumption.
+        # (start_offset, seq, line_bytes) of the last complete record this
+        # instance has seen — the tail cursor. Always compared with the
+        # file's bytes before being trusted, so it is a hint, never an
+        # assumption.
         self._tail_cursor = None
 
     # -- locking ------------------------------------------------------- #
@@ -351,103 +385,87 @@ class JournalStore(LedgerStore):
             self._unlock(fd)
             os.close(fd)
 
-    # -- parsing ------------------------------------------------------- #
-    def _parse(self, data, offset=0, first_seq=1):
-        """Parse records from ``data[offset:]`` expecting sequence numbers
-        from ``first_seq``; returns ``(records, valid_end_offset,
-        torn_tail_bytes, last_record_start)`` (``last_record_start`` is
-        ``None`` when no complete record was parsed)."""
+    # -- reading ------------------------------------------------------- #
+    def _read_from(self, offset):
+        """The journal's bytes from ``offset`` to its end (``None`` when the
+        file does not exist). Every read of the stream goes through here."""
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(offset)
+                return fh.read()
+        except FileNotFoundError:
+            return None
+
+    @staticmethod
+    def _parse(data, base=0, first_seq=1):
+        """Parse the records in ``data`` — the stream's bytes from offset
+        ``base`` — expecting sequence numbers from ``first_seq``. Returns
+        ``(records, valid_end, torn_tail_bytes, cursor)``: ``valid_end`` is
+        the absolute offset after the last complete record, ``cursor`` the
+        tail cursor on that record (``None`` when none was parsed)."""
         records = []
-        expected = first_seq
-        last_start = None
+        offset = 0
+        line_start = None
         while offset < len(data):
             newline = data.find(b"\n", offset)
             if newline == -1:
                 # Incomplete final line: the unambiguous signature of a
                 # torn write (complete writes always end in the newline).
-                return records, offset, len(data) - offset, last_start
+                break
             line = data[offset:newline].decode("utf-8", errors="replace")
-            records.append(_decode_record(line, expected))
-            expected += 1
-            last_start = offset
+            records.append(_decode_record(line, first_seq + len(records)))
+            line_start = offset
             offset = newline + 1
-        return records, offset, 0, last_start
+        cursor = None
+        if records:
+            cursor = (base + line_start, records[-1]["seq"], data[line_start:offset])
+        return records, base + offset, len(data) - offset, cursor
 
-    def _note_tail(self, records, valid_end, last_start):
-        """Record the incremental-scan cursor after a successful parse."""
-        if records and last_start is not None:
-            self._tail_cursor = (
-                last_start, valid_end, records[-1]["seq"], records[-1]["crc"]
-            )
-        elif last_start is None and valid_end == 0:
-            self._tail_cursor = None
+    def _read_tail(self):
+        """Read and parse the stream past the cursor (see the class
+        docstring); sets the append numbering. Returns ``(records,
+        valid_end, torn_tail_bytes, cursor, resumed)`` — ``resumed=False``
+        means the whole stream was read and ``records`` is all of it."""
+        if self._tail_cursor is not None:
+            start, seq, line = self._tail_cursor
+            data = self._read_from(start)
+            if data is not None and data.startswith(line):
+                parsed = self._parse(
+                    data[len(line):], base=start + len(line), first_seq=seq + 1
+                )
+                self._last_seq = seq + len(parsed[0])
+                return (*parsed, True)
+        data = self._read_from(0)
+        parsed = self._parse(data or b"")
+        self._last_seq = len(parsed[0])
+        return (*parsed, False)
 
     def scan(self):
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            self._tail_cursor = None
-            return [], 0
-        records, valid_end, torn, last_start = self._parse(data)
-        self._last_seq = len(records)
-        self._note_tail(records, valid_end, last_start)
+        self._tail_cursor = None
+        records, torn, _ = self.scan_new()
         return records, torn
 
     def scan_new(self):
-        """Incremental scan: parse only the bytes appended since the
-        cursor, after verifying the cursor's record still sits unchanged
-        at its offsets (a compaction by another process rewrites offsets
-        and/or content, failing the check and forcing a full rescan)."""
-        cursor = self._tail_cursor
-        if cursor is None:
-            records, torn = self.scan()
-            return records, torn, False
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            self._tail_cursor = None
-            self._last_seq = 0
-            return [], 0, False
-        start, end, seq, crc = cursor
-        verified = False
-        if end <= len(data) and data[end - 1:end] == b"\n":
-            line = data[start:end - 1].decode("utf-8", errors="replace")
-            try:
-                record = json.loads(line)
-            except ValueError:
-                record = None
-            verified = (
-                isinstance(record, dict)
-                and record.get("seq") == seq
-                and record.get("crc") == crc
-            )
-        if not verified:
-            records, torn = self.scan()
-            return records, torn, False
-        records, valid_end, torn, last_start = self._parse(
-            data, offset=end, first_seq=seq + 1
-        )
-        self._last_seq = seq + len(records)
-        if records:
-            self._note_tail(records, valid_end, last_start)
-        return records, torn, True
+        """Incremental scan: the tail read of the class docstring, moving
+        the cursor past the records it returns. A compaction by another
+        process rewrites offsets and/or content, failing the cursor check
+        and forcing a full verified scan."""
+        records, _, torn, cursor, resumed = self._read_tail()
+        if cursor is not None or not resumed:
+            self._tail_cursor = cursor
+        return records, torn, resumed
 
     def _repair_torn_tail(self):
-        """Truncate a torn final record (lock held). The lost bytes were
-        never acknowledged as committed — dropping them is the *correct*
-        recovery, not data loss. Only ``_last_seq`` (append numbering) is
-        refreshed here — NOT the incremental-scan cursor, which tracks
-        what the *caller* has consumed: records this repair parses were
-        never surfaced, and advancing the cursor past them would make the
-        next ``scan_new`` silently skip them."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            self._last_seq = 0
-            self._tail_cursor = None
-            return
-        records, valid_end, torn, last_start = self._parse(data)
-        self._last_seq = len(records)
+        """Truncate a torn final record (lock held), reading only the bytes
+        past the verified cursor — a torn tail can only sit after the last
+        newline — or the whole stream when there is no verified cursor.
+        The lost bytes were never acknowledged as committed — dropping
+        them is the *correct* recovery, not data loss. Only ``_last_seq``
+        (append numbering) is refreshed here — NOT the cursor, which
+        tracks what the *caller* has consumed: records this repair parses
+        were never surfaced, and advancing the cursor past them would make
+        the next ``scan_new`` silently skip them."""
+        _, valid_end, torn, _, _ = self._read_tail()
         if torn:
             with open(self.path, "r+b") as fh:
                 fh.truncate(valid_end)
@@ -458,9 +476,9 @@ class JournalStore(LedgerStore):
     def append(self, payload, point=None):
         if self._lock_fd is None:
             raise LedgerError("JournalStore.append requires an open transact()")
-        record = {"seq": self._last_seq + 1, **payload}
-        crc = _record_crc(record)
-        line = (_encode_record(record) + "\n").encode("utf-8")
+        seq = self._last_seq + 1
+        text, _ = _encode_record({"seq": seq, **payload})
+        line = (text + "\n").encode("utf-8")
         created = not self.path.exists()
         if point is not None:
             fire(f"{point}.before_append")
@@ -476,24 +494,22 @@ class JournalStore(LedgerStore):
             fsync_directory(self.path.parent)
         if point is not None:
             fire(f"{point}.after_append")
-        self._last_seq += 1
-        self._tail_cursor = (start, start + len(line), record["seq"], crc)
+        self._last_seq = seq
+        self._tail_cursor = (start, seq, line)
 
     def compact(self, payloads):
         if self._lock_fd is None:
             raise LedgerError("JournalStore.compact requires an open transact()")
-        lines = []
-        last_crc = None
-        for index, payload in enumerate(payloads):
-            record = {"seq": index + 1, **payload}
-            last_crc = _record_crc(record)
-            lines.append(_encode_record(record) + "\n")
+        lines = [
+            (_encode_record({"seq": index + 1, **payload})[0] + "\n").encode("utf-8")
+            for index, payload in enumerate(payloads)
+        ]
         staging = self.path.with_name(
             f"{self.path.name}.{os.getpid()}-{uuid.uuid4().hex[:8]}.compact.tmp"
         )
         try:
             with open(staging, "wb") as fh:
-                fh.write("".join(lines).encode("utf-8"))
+                fh.write(b"".join(lines))
                 fh.flush()
                 os.fsync(fh.fileno())
             fire("journal.compact.before_replace")
@@ -506,12 +522,10 @@ class JournalStore(LedgerStore):
             except OSError:
                 pass
         self._last_seq = len(payloads)
+        self._tail_cursor = None
         if lines:
-            total = sum(len(line.encode("utf-8")) for line in lines)
-            last = len(lines[-1].encode("utf-8"))
-            self._tail_cursor = (total - last, total, len(payloads), last_crc)
-        else:
-            self._tail_cursor = None
+            start = sum(len(line) for line in lines[:-1])
+            self._tail_cursor = (start, len(lines), lines[-1])
 
 
 class SQLiteStore(LedgerStore):
@@ -661,26 +675,25 @@ class SQLiteStore(LedgerStore):
         if point is not None:
             self._txn_guarded = True
             fire(f"{point}.before_append")
+        line, crc = _encode_record(record)
         self._conn.execute(
-            "INSERT INTO ledger (seq, payload) VALUES (?, ?)",
-            (record["seq"], _encode_record(record)),
+            "INSERT INTO ledger (seq, payload) VALUES (?, ?)", (record["seq"], line)
         )
         if point is not None:
             fire(f"{point}.after_append")
-        self._tail_cursor = (record["seq"], _record_crc(record))
+        self._tail_cursor = (record["seq"], crc)
 
     def compact(self, payloads):
         if not self._in_txn:
             raise LedgerError("SQLiteStore.compact requires an open transact()")
         self._conn.execute("DELETE FROM ledger")
         self._tail_cursor = None
-        for index, payload in enumerate(payloads):
-            record = {"seq": index + 1, **payload}
+        for seq, payload in enumerate(payloads, start=1):
+            line, crc = _encode_record({"seq": seq, **payload})
             self._conn.execute(
-                "INSERT INTO ledger (seq, payload) VALUES (?, ?)",
-                (record["seq"], _encode_record(record)),
+                "INSERT INTO ledger (seq, payload) VALUES (?, ?)", (seq, line)
             )
-            self._tail_cursor = (record["seq"], _record_crc(record))
+            self._tail_cursor = (seq, crc)
 
     def close(self):
         try:
@@ -912,7 +925,6 @@ class DurableAccountant(BudgetAccountant):
                 raise LedgerError("compact_every must be a positive record count")
         self._compact_every = compact_every
         self._own_txns = []
-        self._dirty = False
         #: Keyed spends answered from the durable result journal instead
         #: of charging the budget (monotone per accountant instance).
         self.dedup_hits = 0
@@ -931,7 +943,6 @@ class DurableAccountant(BudgetAccountant):
                 self._store.append(self._meta_payload())
                 self._meta = self._meta_payload()
                 self._records_seen = 1
-                self._refresh_summary()
 
     # -- plumbing ------------------------------------------------------ #
     @property
@@ -1010,17 +1021,6 @@ class DurableAccountant(BudgetAccountant):
         self._resets = 0
         self._records_seen = 0
         self._inner._set_ledger_state(self._inner._fresh_state())
-        self._refresh_summary()
-
-    def _refresh_summary(self):
-        self._summary = {
-            "meta": self._meta,
-            "committed": list(self._committed),
-            "keyed": dict(self._keyed),
-            "dangling_intents": sorted(self._intents),
-            "rolled_back": self._rolled_back,
-            "resets": self._resets,
-        }
 
     def _register_keyed(self, txn, keys, results):
         """Index a committed result set by its idempotency keys. First
@@ -1147,18 +1147,13 @@ class DurableAccountant(BudgetAccountant):
                 raise LedgerCorruptError(f"unknown ledger record op {op!r}")
         if recompute:
             self._recompute_state()
-        if records:
-            self._refresh_summary()
 
     def _sync_records(self):
         """Refresh the mirror from the store: incremental when the store's
-        tail cursor verifies, full replay from scratch otherwise. After an
-        ambiguous write failure (``_dirty``) the cursor itself is suspect
-        — it may sit past durable records the mirror rolled back — so it
-        is dropped and the stream re-verified end to end."""
-        if self._dirty:
-            self._store.invalidate_cursor()
-            self._dirty = False
+        tail cursor verifies, full replay from scratch otherwise. Every
+        ambiguous write failure drops the cursor on the spot (see
+        :meth:`LedgerStore.invalidate_cursor`), before the next
+        transaction's torn-tail repair could trust it."""
         records, _, resumed = self._store.scan_new()
         if not resumed:
             self._reset_replay_state()
@@ -1233,7 +1228,6 @@ class DurableAccountant(BudgetAccountant):
                 # next sync resumes past them instead of re-applying.
                 self._committed.append((txn, committed_costs))
                 self._records_seen += 2
-                self._refresh_summary()
             except PrivacyBudgetError:
                 # Admission failed inside the inner accountant: nothing
                 # was journaled and the inner ledger is untouched (its
@@ -1245,17 +1239,16 @@ class DurableAccountant(BudgetAccountant):
                 # instant-specific (a durable dangling intent, both
                 # records, or — after a sqlite rollback — nothing), so
                 # roll the mirror back to the synced pre-spend state and
-                # mark it dirty: the next sync rescans from scratch
-                # instead of trusting a cursor that may disagree with the
-                # mirror in either direction.
+                # drop the cursor: the next transaction rescans from
+                # scratch instead of trusting a cursor that may disagree
+                # with the mirror in either direction.
                 if snapshot is not None:
                     self._inner.restore(snapshot)
                     if txn is not None and self._committed and (
                         self._committed[-1][0] == txn
                     ):
                         self._committed.pop()
-                        self._refresh_summary()
-                    self._dirty = True
+                    self._store.invalidate_cursor()
                 raise
         self._own_txns.append(txn)
         if realized_out is not None:
@@ -1308,7 +1301,7 @@ class DurableAccountant(BudgetAccountant):
                 try:
                     self._store.compact(payloads)
                 except BaseException:
-                    self._dirty = True
+                    self._store.invalidate_cursor()
                     raise
                 # Only the stream bookkeeping resets; dropped records
                 # (dangling intents of crashed writers, applied rollbacks
@@ -1317,7 +1310,6 @@ class DurableAccountant(BudgetAccountant):
                 self._rolled_back = 0
                 self._resets = 0
                 self._records_seen = len(payloads)
-                self._refresh_summary()
         except LedgerBusyError:
             return  # another process holds the lock; the next spend retries
         except (LedgerError, OSError) as exc:
@@ -1436,7 +1428,6 @@ class DurableAccountant(BudgetAccountant):
                 if stored_results is not None:
                     self._register_keyed(txn, fresh_keys, stored_results)
                 self._records_seen += 2
-                self._refresh_summary()
             except PrivacyBudgetError:
                 # Admission failed inside the inner accountant: nothing
                 # was journaled and the inner ledger is untouched.
@@ -1444,14 +1435,13 @@ class DurableAccountant(BudgetAccountant):
             except BaseException:
                 # Charged but not durably committed (a produce() or write
                 # failure): same recovery as _charge — roll the mirror
-                # back and force a from-scratch rescan on the next sync.
+                # back and drop the cursor, forcing a from-scratch rescan.
                 self._inner.restore(snapshot)
                 if txn is not None:
                     if self._committed and self._committed[-1][0] == txn:
                         self._committed.pop()
                     self._prune_keyed({txn})
-                    self._refresh_summary()
-                self._dirty = True
+                self._store.invalidate_cursor()
                 raise
             for index, position in enumerate(fresh_positions):
                 results[position] = (payloads[index], False)
@@ -1510,9 +1500,8 @@ class DurableAccountant(BudgetAccountant):
                     self._prune_keyed(undo)
                     self._records_seen += 1
                     self._recompute_state()
-                    self._refresh_summary()
             except BaseException:
-                self._dirty = True
+                self._store.invalidate_cursor()
                 raise
 
     def reset(self):
@@ -1527,9 +1516,8 @@ class DurableAccountant(BudgetAccountant):
                 self._keys = {}
                 self._records_seen += 1
                 self._recompute_state()
-                self._refresh_summary()
             except BaseException:
-                self._dirty = True
+                self._store.invalidate_cursor()
                 raise
         self._own_txns = []
 

@@ -522,12 +522,15 @@ class WorkerPool:
 
     def _await_ready(self, handle, enqueue=True):
         try:
-            if not handle.connection.poll(self.boot_timeout):
-                raise WorkerTimeoutError(
-                    f"worker {handle.index} did not become ready within "
-                    f"{self.boot_timeout}s"
-                )
-            message = handle.connection.recv()
+            # The handshake holds the connection like any request: a
+            # stop() racing the boot must not read the same pipe.
+            with handle.lock:
+                if not handle.connection.poll(self.boot_timeout):
+                    raise WorkerTimeoutError(
+                        f"worker {handle.index} did not become ready within "
+                        f"{self.boot_timeout}s"
+                    )
+                message = handle.connection.recv()
             if not (isinstance(message, tuple) and message and message[0] == "ready"):
                 raise WorkerCrashError(
                     f"worker {handle.index} sent {message!r} instead of the "

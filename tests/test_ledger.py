@@ -95,24 +95,24 @@ def _clean_failpoints():
 # ---------------------------------------------------------------------- #
 class TestRecordFormat:
     def test_roundtrip(self):
-        text = _encode_record({"seq": 1, "op": "meta", "x": 0.1})
+        text, _ = _encode_record({"seq": 1, "op": "meta", "x": 0.1})
         record = _decode_record(text, 1)
         assert record["op"] == "meta"
         assert record["x"] == 0.1
 
     def test_float_repr_roundtrips_exactly(self):
         value = 0.1 + 0.2  # 0.30000000000000004
-        text = _encode_record({"seq": 1, "op": "intent", "eps": value})
+        text, _ = _encode_record({"seq": 1, "op": "intent", "eps": value})
         assert _decode_record(text, 1)["eps"] == value
 
     def test_checksum_mismatch_raises(self):
-        text = _encode_record({"seq": 1, "op": "meta", "x": 1.0})
+        text, _ = _encode_record({"seq": 1, "op": "meta", "x": 1.0})
         tampered = text.replace('"x":1.0', '"x":2.0')
         with pytest.raises(LedgerCorruptError):
             _decode_record(tampered, 1)
 
     def test_sequence_gap_raises(self):
-        text = _encode_record({"seq": 3, "op": "meta"})
+        text, _ = _encode_record({"seq": 3, "op": "meta"})
         with pytest.raises(LedgerCorruptError):
             _decode_record(text, 2)
 

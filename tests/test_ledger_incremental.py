@@ -12,17 +12,30 @@ The load-bearing claims:
 * checkpoint **compaction** (``compact_every``) bounds the stream to the
   live transactions without perturbing the replayed state, and a
   checkpoint failure never fails the spend that triggered it;
-* after an ambiguous write failure the handle marks itself dirty and the
-  next sync re-verifies the stream end to end, so a durable-but-
-  rolled-back-in-memory commit is recovered, not silently skipped.
+* after an ambiguous write failure the handle drops its cursor and the
+  next transaction re-verifies the stream end to end, so a durable-but-
+  rolled-back-in-memory commit is recovered, not silently skipped;
+* a journal transaction reads only the bytes past its verified cursor:
+  the records it decodes and the bytes it reads do not grow with the
+  journal, while a foreign torn tail is still repaired, a foreign
+  compaction still forces a full verified parse, and tampered history is
+  still reported by every whole-stream reader.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import LedgerError, PrivacyBudgetError
+from repro.exceptions import LedgerCorruptError, LedgerError, PrivacyBudgetError
+from repro.privacy import ledger as ledger_module
 from repro.privacy.accountant import make_accountant
-from repro.privacy.ledger import inspect_ledger, open_ledger, open_store
+from repro.privacy.ledger import (
+    JournalStore,
+    inspect_ledger,
+    ledger_health,
+    open_ledger,
+    open_store,
+    recover_ledger,
+)
 from repro.testing.faults import FailPoint, InjectedFault
 
 BACKENDS = ("journal", "sqlite")
@@ -358,4 +371,173 @@ class TestDirtyResync:
         acct.spend(0.1)
         assert acct.spent_epsilon == pytest.approx(0.35)
         assert_matches_cold_replay(acct, path)
+        acct.close()
+
+
+# ---------------------------------------------------------------------- #
+# Journal tail reads: a transaction's work does not grow with the journal
+# ---------------------------------------------------------------------- #
+RESULT = {"values": [0.5] * 8}
+
+
+def produce(positions, realized):
+    return [RESULT] * len(positions)
+
+
+class ReadCounter:
+    """Counts ``_decode_record`` calls and the offsets and bytes of every
+    journal read while installed."""
+
+    def __init__(self, monkeypatch):
+        self.decodes = 0
+        self.reads = []  # (offset, bytes) per read
+        decode = ledger_module._decode_record
+        read_from = JournalStore._read_from
+
+        def counting_decode(text, expected_seq):
+            self.decodes += 1
+            return decode(text, expected_seq)
+
+        def counting_read(store, offset):
+            data = read_from(store, offset)
+            self.reads.append((offset, 0 if data is None else len(data)))
+            return data
+
+        monkeypatch.setattr(ledger_module, "_decode_record", counting_decode)
+        monkeypatch.setattr(JournalStore, "_read_from", counting_read)
+
+    @property
+    def bytes_read(self):
+        return sum(size for _, size in self.reads)
+
+
+class TestTransactionAgeIndependence:
+    def measure(self, tmp_path, monkeypatch, batches):
+        """One keyed spend on a journal after ``batches`` prior keyed
+        batches, with another writer's batch in between."""
+        path = tmp_path / f"aged-{batches}.journal"
+        acct = open_ledger(path, fresh_accountant())
+        other = open_ledger(path, fresh_accountant())
+        for index in range(batches):
+            acct.spend_keyed([((0.001, 0.0), f"k{index}")], produce)
+        other.spend_keyed([((0.001, 0.0), "foreign")], produce)
+        with monkeypatch.context() as patch:
+            counter = ReadCounter(patch)
+            acct.spend_keyed([((0.001, 0.0), "fresh")], produce)
+        assert acct.spent_epsilon == pytest.approx(0.001 * (batches + 2))
+        assert_matches_cold_replay(acct, path)
+        acct.close()
+        other.close()
+        return counter
+
+    def test_keyed_spend_cost_is_independent_of_journal_age(
+        self, tmp_path, monkeypatch
+    ):
+        young = self.measure(tmp_path, monkeypatch, 10)
+        old = self.measure(tmp_path, monkeypatch, 500)
+        # The repair and the sync each decode the other writer's intent
+        # and commit, and nothing else.
+        assert young.decodes == old.decodes == 4
+        assert len(young.reads) == len(old.reads) == 2
+        # Each read covers the cursor record and the two foreign records;
+        # the only bytes that differ are the older journal's wider
+        # sequence numbers (1001-1003 against 21-23).
+        widening = 3 * (len("1001") - len("21"))
+        assert old.bytes_read - young.bytes_read == len(old.reads) * widening
+
+
+class TestJournalTailRead:
+    def test_foreign_torn_tail_is_truncated_and_seq_continues(
+        self, tmp_path, monkeypatch
+    ):
+        path = ledger_path(tmp_path, "journal")
+        acct = open_ledger(path, fresh_accountant())
+        acct.spend(0.1)
+        other = open_ledger(path, fresh_accountant())
+        other.spend(0.2)
+        # Another writer dies halfway through its next record.
+        with open(path, "ab") as fh:
+            fh.write(b'{"costs":[[0.3,0.0]],"crc":"0123')
+        with monkeypatch.context() as patch:
+            counter = ReadCounter(patch)
+            acct.spend(0.05)
+        # Only tail reads from the cursor, never the whole file.
+        assert all(offset > 0 for offset, _ in counter.reads)
+        records, torn = open_store(path).scan()
+        assert torn == 0
+        assert [record["seq"] for record in records] == list(range(1, 8))
+        assert acct.spent_epsilon == pytest.approx(0.35)
+        assert_matches_cold_replay(acct, path)
+        acct.close()
+        other.close()
+
+    def test_foreign_compaction_forces_full_verified_parse(
+        self, tmp_path, monkeypatch
+    ):
+        path = ledger_path(tmp_path, "journal")
+        other = open_ledger(path, fresh_accountant())
+        other.spend(0.1)
+        snap = other.snapshot()
+        other.spend(0.2)
+        acct = open_ledger(path, fresh_accountant())
+        acct.spend(0.05)  # cursor on acct's own commit
+        # The other writer rolls its spend back and a checkpoint rewrites
+        # the stream without it: acct's cursor record moves.
+        other.restore(snap)
+        compactor = open_ledger(path, fresh_accountant(), compact_every=1)
+        compactor.spend(0.01)
+        compactor.close()
+        records, _ = open_store(path).scan()
+        with monkeypatch.context() as patch:
+            counter = ReadCounter(patch)
+            acct.spend(0.02)
+        # The repair and the sync each try the cursor, find it moved, and
+        # fall back to reading and verifying every record.
+        assert [offset == 0 for offset, _ in counter.reads] == [
+            False, True, False, True
+        ]
+        assert counter.decodes == 2 * len(records)
+        assert acct.spent_epsilon == pytest.approx(0.1 + 0.05 + 0.01 + 0.02)
+        assert_matches_cold_replay(acct, path)
+        acct.close()
+        other.close()
+
+    def test_write_failure_forces_full_parse_in_repair(self, tmp_path, monkeypatch):
+        path = ledger_path(tmp_path, "journal")
+        acct = open_ledger(path, fresh_accountant())
+        acct.spend(0.25)
+        FailPoint.error_at("ledger.commit.after_append")
+        with pytest.raises(InjectedFault):
+            acct.spend(0.5)
+        FailPoint.clear()
+        assert acct.store._tail_cursor is None  # dropped before any repair
+        size = path.stat().st_size
+        with monkeypatch.context() as patch:
+            counter = ReadCounter(patch)
+            acct.spend(0.1)
+        # The repair is the transaction's first read: the whole file.
+        assert counter.reads[0] == (0, size)
+        assert acct.spent_epsilon == pytest.approx(0.85)
+        assert_matches_cold_replay(acct, path)
+        acct.close()
+
+    def test_history_tampered_under_open_handle_is_reported(self, tmp_path):
+        path = ledger_path(tmp_path, "journal")
+        acct = open_ledger(path, fresh_accountant())
+        for _ in range(3):
+            acct.spend(0.1)
+        lines = path.read_bytes().split(b"\n")
+        assert b'"op":"intent"' in lines[3]
+        lines[3] = lines[3].replace(b"0.1", b"0.2", 1)
+        path.write_bytes(b"\n".join(lines))
+        # The open handle's transactions read only past its cursor, so
+        # they do not see the edit; every whole-stream reader does.
+        acct.spend(0.1)
+        with pytest.raises(LedgerCorruptError):
+            open_ledger(path, fresh_accountant())
+        with pytest.raises(LedgerCorruptError):
+            inspect_ledger(path)
+        with pytest.raises(LedgerCorruptError):
+            recover_ledger(path)
+        assert ledger_health(path)["ok"] is False
         acct.close()
