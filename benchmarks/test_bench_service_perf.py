@@ -85,7 +85,6 @@ CONCURRENCY = 64
 
 #: Coalescer shape for the ``coalesced`` cells.
 MAX_BATCH = 32
-MAX_WAIT = 0.004
 
 #: Budget large enough that no cell exhausts it.
 TOTAL_BUDGET = 1e9
@@ -210,7 +209,6 @@ async def _run_service(tmp_dir, plans, data, workers, mode, reps):
         workers=workers,
         seed=7,
         max_batch=1 if mode == "unbatched" else MAX_BATCH,
-        max_wait=MAX_WAIT,
         **supervision,
     )
     service = PlanService(config)

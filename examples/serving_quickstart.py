@@ -80,8 +80,7 @@ async def main():
             data=counts,
             total_epsilon=5.0,
             workers=2,
-            max_batch=32,     # coalesce up to 32 requests per batch
-            max_wait=0.002,   # ... or whatever arrives within 2 ms
+            max_batch=32,  # requests queued behind busy workers share a batch
         )
         service = PlanService(config)
         host, port = await service.start()

@@ -131,11 +131,8 @@ def build_parser():
     )
     parser.add_argument(
         "--max-batch", type=int, default=32,
-        help="serve: coalescer batch cap (1 disables micro-batching)",
-    )
-    parser.add_argument(
-        "--max-wait", type=float, default=0.002,
-        help="serve: coalescing window in seconds (default 0.002)",
+        help="serve: most requests per worker batch; requests queued "
+        "behind busy workers share one (default 32)",
     )
     parser.add_argument(
         "--max-queue", type=int, default=1024,
@@ -366,7 +363,6 @@ def _run_serve(args, out):
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait=args.max_wait,
         max_queue=args.max_queue,
         request_timeout=args.request_timeout,
         watch_plans=args.watch_plans,

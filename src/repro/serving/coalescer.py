@@ -4,36 +4,42 @@ The engine's batched release path (``execute_many``) amortizes the
 per-release noise draw, GEMM and ledger round-trip — but only if someone
 actually forms batches. Under a concurrent front-end, requests for the
 same ``(tenant, plan)`` arrive interleaved across connections;
-:class:`Coalescer` holds each one briefly in a per-key bucket and flushes
-the bucket as a single worker command when it reaches ``max_batch``
-requests or its oldest request has waited ``max_wait`` seconds, whichever
-comes first.
+:class:`Coalescer` collects them in one pending bucket per key and is
+**work-conserving**: an arrival schedules a dispatch pump for the next
+event-loop turn (after the next I/O poll, so requests already readable
+join first), and whenever a worker slot is free the pump dispatches
+pending buckets, up to ``max_batch`` requests each in arrival order.
+While every slot is busy, buckets keep filling. Batches therefore form
+from load, not from a clock: an idle service dispatches a lone request
+at once, a saturated one ships whatever queued behind the busy slots.
 
-Semantics preserved from the unbatched path:
+Semantics preserved from one-at-a-time dispatch:
 
-* **Atomic accounting** — the worker charges the whole bucket through
+* **Atomic accounting** — the worker charges the whole batch through
   ``spend_many`` (all-or-nothing). If the *batch* is refused for budget
   (the sum exceeds the remaining budget) the coalescer degrades to
   **sequential admission**: each request is retried individually, so the
   requests that do fit are served and only the ones that do not are
   refused — exactly what unbatched arrival order would have produced.
 * **Ordering** — results resolve onto the originating futures in request
-  order within a bucket; a bucket's requests never reorder.
-* **Flush on shutdown** — :meth:`drain` flushes every pending bucket and
-  awaits in-flight worker calls, so a graceful shutdown serves (and
+  order within a batch; a bucket's requests never reorder, and an
+  over-full bucket dispatches as consecutive ``max_batch`` slices.
+* **Drain on shutdown** — :meth:`drain` dispatches every pending bucket
+  and awaits in-flight worker calls, so a graceful shutdown serves (and
   charges) everything it accepted rather than dropping queued requests.
 * **Deadlines** — a request may carry a monotonic ``deadline``; a member
-  whose deadline passed while it waited in the bucket (or queued for a
-  sequential retry) is shed *before* dispatch — it is never charged — and
-  fails with ``deadline_exceeded``. A batch never dispatches expired work.
+  whose deadline passed while it was pending (or queued for a sequential
+  retry) is shed *before* dispatch — it is never charged — and fails
+  with ``deadline_exceeded``. A batch never dispatches expired work.
 
 Exactly-once additions:
 
-* **In-window duplicate folding** — two submissions carrying the same
-  idempotency ``key`` while one bucket is open *fold*: one request is
-  dispatched (one spend, one noise draw) and the single result resolves
-  every folded future — two replies, byte-identical. Duplicates that miss
-  the window dedup at the ledger instead (one charge either way).
+* **Pending duplicate folding** — two submissions carrying the same
+  idempotency ``key`` while the first is still pending *fold*: one
+  request is dispatched (one spend, one noise draw) and the single
+  result resolves every folded future — two replies, byte-identical.
+  Duplicates of an already-dispatched key dedup at the ledger instead
+  (one charge either way).
 * **Keyed dispatch is crash-retryable** — a batch in which every request
   carries a key is submitted with ``retry_delivered=True``: a worker
   SIGKILLed after delivery is retried once on another worker, which
@@ -42,11 +48,11 @@ Exactly-once additions:
 
 Fairness addition:
 
-* **Round-robin flush order** — flushed buckets enter a ready queue and
-  dispatch round-robin across ``(tenant, plan)`` keys (least recently
-  dispatched key first) under a ``max_concurrent`` batch cap, so one hot
-  tenant saturating ``max_batch`` cannot monopolise the worker pool while
-  a quiet tenant's single request starves in the queue.
+* **Round-robin dispatch order** — under the ``max_concurrent`` batch
+  cap, pending buckets dispatch round-robin across ``(tenant, plan)``
+  keys (least recently dispatched key first), so one hot tenant
+  saturating ``max_batch`` cannot monopolise the worker pool while a
+  quiet tenant's single request starves behind it.
 """
 
 from __future__ import annotations
@@ -54,12 +60,16 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
-from collections import deque
 
 from repro.exceptions import ReproError
 from repro.serving.worker import WorkerCrashError
 
-__all__ = ["Coalescer", "RemoteExecutionError"]
+__all__ = ["Coalescer", "RemoteExecutionError", "RETRY_AFTER_HINT"]
+
+#: ``retry_after`` hint (seconds) attached to every shed or busy refusal
+#: — deadline, overload and ledger contention: long enough for a busy
+#: worker slot plus a ledger lock hold to clear.
+RETRY_AFTER_HINT = 0.05
 
 
 class RemoteExecutionError(ReproError):
@@ -113,12 +123,21 @@ class _Entry:
 
 
 class _Bucket:
-    __slots__ = ("entries", "by_key", "timer")
+    __slots__ = ("entries", "by_key")
 
     def __init__(self):
-        self.entries = []
-        self.by_key = {}  # idempotency key -> _Entry (in-window folding)
-        self.timer = None
+        self.entries = []  # pending, in arrival order
+        self.by_key = {}  # idempotency key -> pending _Entry (folding)
+
+    def take(self, count):
+        """Remove and return the first ``count`` pending entries. Their
+        keys leave the fold index: a later duplicate of a dispatched key
+        opens a fresh entry and dedups at the ledger."""
+        batch, self.entries = self.entries[:count], self.entries[count:]
+        for entry in batch:
+            if entry.request[2] is not None:
+                del self.by_key[entry.request[2]]
+        return batch
 
 
 class Coalescer:
@@ -127,17 +146,15 @@ class Coalescer:
     ``pool_submit`` is a callable ``(command) -> reply tuple`` executed in
     a thread (the worker pipe round-trip blocks); the coalescer is
     otherwise pure asyncio and must be used from one event loop.
-    ``max_concurrent`` caps how many flushed batches run at once (``None``
-    = unlimited, the pre-fairness behaviour); flushed buckets beyond the
-    cap queue and dispatch round-robin across ``(tenant, plan)`` keys.
+    ``max_concurrent`` caps how many batches run at once (``None`` =
+    unlimited); pending buckets beyond the cap wait for a free slot and
+    then dispatch round-robin across ``(tenant, plan)`` keys.
     """
 
-    def __init__(self, pool, max_batch=32, max_wait=0.002, executor=None,
-                 on_shed=None, max_concurrent=None):
+    def __init__(self, pool, max_batch=32, executor=None, on_shed=None,
+                 max_concurrent=None):
         if int(max_batch) <= 0:
             raise ValueError("max_batch must be positive")
-        if float(max_wait) < 0:
-            raise ValueError("max_wait must be non-negative")
         if max_concurrent is not None and int(max_concurrent) <= 0:
             raise ValueError("max_concurrent must be positive (or None)")
         self._pool = pool
@@ -147,12 +164,11 @@ class Coalescer:
         #: service passes one sized to its pool instead.
         self._executor = executor
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self._max_concurrent = (
             None if max_concurrent is None else int(max_concurrent)
         )
-        self._buckets = {}
-        self._ready = deque()  # flushed (key, bucket) awaiting dispatch
+        self._buckets = {}  # (tenant, plan) -> non-empty pending _Bucket
+        self._pump_handle = None  # the scheduled next-turn pump, if any
         self._last_dispatch = {}  # key -> seq of its most recent dispatch
         self._dispatch_seq = 0
         self._inflight = set()
@@ -170,9 +186,9 @@ class Coalescer:
                      deadline=None, key=None):
         """Queue one release request; resolves to the release payload dict.
         ``deadline`` (monotonic seconds) sheds the request instead of
-        dispatching it if it is still queued when the deadline passes.
+        dispatching it if it is still pending when the deadline passes.
         ``key`` is an optional idempotency key: a second submission with
-        the same key while the bucket is still open folds onto the first —
+        the same key while the first is still pending folds onto it —
         one dispatched spend, every waiter resolved with the same payload.
         """
         if self._draining:
@@ -193,10 +209,10 @@ class Coalescer:
         bucket.entries.append(entry)
         if key is not None:
             bucket.by_key[key] = entry
-        if len(bucket.entries) >= self.max_batch:
-            self._flush(bucket_key)
-        elif bucket.timer is None:
-            bucket.timer = loop.call_later(self.max_wait, self._flush, bucket_key)
+        if self._pump_handle is None:
+            # call_later(0), not call_soon: the pump runs after the next
+            # I/O poll, so requests already readable join the bucket first.
+            self._pump_handle = loop.call_later(0, self._pump)
         return await future
 
     def _shed_expired(self, entries):
@@ -211,41 +227,34 @@ class Coalescer:
                 entry.fail(RemoteExecutionError(
                     "deadline_exceeded",
                     "deadline expired while the request was queued",
-                    retry_after=self.max_wait,
+                    retry_after=RETRY_AFTER_HINT,
                 ))
             else:
                 live.append(entry)
         return live
 
-    # -- flushing -------------------------------------------------------- #
-    def _flush(self, key):
-        bucket = self._buckets.pop(key, None)
-        if bucket is None:
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        self._ready.append((key, bucket))
-        self._pump()
-
+    # -- dispatch -------------------------------------------------------- #
     def _pump(self):
-        """Dispatch ready buckets round-robin across keys, up to the
-        concurrency cap: among everything ready, the key dispatched
-        longest ago (never-dispatched first, arrival order on ties) goes
-        next — a hot tenant refilling its bucket every window cannot
-        starve a quiet tenant's single queued request."""
-        while self._ready and (
+        """Dispatch pending buckets while a slot is free, round-robin
+        across keys: the key dispatched longest ago (never-dispatched
+        first, arrival order on ties) goes next, ``max_batch`` entries at
+        a time — a hot tenant refilling its bucket cannot starve a quiet
+        tenant's single pending request."""
+        if self._pump_handle is not None:
+            self._pump_handle.cancel()
+            self._pump_handle = None
+        while self._buckets and (
             self._max_concurrent is None
             or len(self._inflight) < self._max_concurrent
         ):
-            index = min(
-                range(len(self._ready)),
-                key=lambda i: self._last_dispatch.get(self._ready[i][0], -1),
-            )
-            key, bucket = self._ready[index]
-            del self._ready[index]
+            key = min(self._buckets, key=lambda k: self._last_dispatch.get(k, -1))
+            bucket = self._buckets[key]
+            entries = bucket.take(self.max_batch)
+            if not bucket.entries:
+                del self._buckets[key]
             self._dispatch_seq += 1
             self._last_dispatch[key] = self._dispatch_seq
-            task = asyncio.ensure_future(self._run_batch(key, bucket))
+            task = asyncio.ensure_future(self._run_batch(key, entries))
             self._inflight.add(task)
             task.add_done_callback(self._batch_done)
 
@@ -267,11 +276,11 @@ class Coalescer:
             ),
         )
 
-    async def _run_batch(self, key, bucket):
+    async def _run_batch(self, key, entries):
         tenant, plan_name = key
-        live = self._shed_expired(bucket.entries)
+        live = self._shed_expired(entries)
         if not live:
-            return  # the whole bucket expired while it waited
+            return  # the whole slice expired while it was pending
         requests = [entry.request for entry in live]
         self.batches_flushed += 1
         self.requests_coalesced += len(requests)
@@ -318,12 +327,10 @@ class Coalescer:
 
     # -- shutdown -------------------------------------------------------- #
     async def drain(self):
-        """Flush everything pending, dispatch the ready queue to empty,
-        and await all in-flight batches."""
+        """Refuse new work, dispatch every pending bucket and await all
+        in-flight batches."""
         self._draining = True
-        for key in list(self._buckets):
-            self._flush(key)
-        while self._ready or self._inflight:
+        while self._buckets or self._inflight:
             self._pump()
             if self._inflight:
                 await asyncio.gather(*list(self._inflight), return_exceptions=True)

@@ -8,9 +8,9 @@ request's optional ``id`` and are ``{"ok": true, ...}`` or ``{"ok": false,
 * ``{"op": "plan"}`` — list the served plans with their metadata.
 * ``{"op": "execute", "tenant": t, "plan": name, "epsilon": e,
   "key": str?, "non_negative"/"integral"/"consistent": bool?}`` — one
-  budgeted release. Batched through the
-  :class:`~repro.serving.coalescer.Coalescer` unless the service was
-  built with ``max_batch=1``. ``key`` is an optional idempotency key:
+  budgeted release, batched through the
+  :class:`~repro.serving.coalescer.Coalescer` (``max_batch=1`` makes
+  every batch a single request). ``key`` is an optional idempotency key:
   repeating it — on a retry, another connection, or after a full restart
   — returns the original noised release with zero additional budget
   charge (the ledger journals results by key). The dedup marker itself
@@ -59,7 +59,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.serving.coalescer import Coalescer, RemoteExecutionError
+from repro.serving.coalescer import (
+    RETRY_AFTER_HINT,
+    Coalescer,
+    RemoteExecutionError,
+)
 from repro.serving.shared_plans import stage_plans
 from repro.serving.worker import (
     WorkerBusyError,
@@ -70,10 +74,6 @@ from repro.serving.worker import (
 from repro.testing.faults import InjectedFault, fire
 
 __all__ = ["ServiceConfig", "PlanService", "serve"]
-
-#: ``retry_after`` hint attached to ledger-contention and overload sheds:
-#: long enough for a coalescing window plus a ledger lock hold to clear.
-_RETRY_AFTER_HINT = 0.05
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 
@@ -86,8 +86,10 @@ class ServiceConfig:
 
     ``data`` is the private unit-count vector (array-like) the service
     answers over; ``total_epsilon``/``total_delta`` the per-tenant budget;
-    ``max_batch=1`` disables coalescing (every request is its own worker
-    round-trip); ``max_wait`` is the coalescing window in seconds.
+    ``max_batch`` caps the requests per worker batch. The coalescer adds
+    no wait: a request dispatches on the next loop turn when a worker is
+    free, and requests pending behind busy workers share batches
+    (``max_batch=1`` makes every batch a single request).
 
     Resilience knobs: ``max_queue`` caps concurrently admitted executes
     (past it, requests shed as ``overloaded``); ``default_deadline``
@@ -106,7 +108,7 @@ class ServiceConfig:
     def __init__(self, plans_dir, ledger_root, data, total_epsilon,
                  total_delta=0.0, workers=2, accountant=None,
                  ledger_suffix=".journal", seed=None, host="127.0.0.1",
-                 port=0, max_batch=32, max_wait=0.002, max_queue=1024,
+                 port=0, max_batch=32, max_queue=1024,
                  default_deadline=None, request_timeout=30.0,
                  heartbeat_interval=1.0, heartbeat_timeout=5.0,
                  restart_budget=5, backoff_base=0.1, healthy_after=30.0,
@@ -124,7 +126,6 @@ class ServiceConfig:
         self.host = host
         self.port = int(port)
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.max_queue = int(max_queue)
         self.default_deadline = None if default_deadline is None else float(default_deadline)
         self.request_timeout = None if request_timeout is None else float(request_timeout)
@@ -206,11 +207,10 @@ class PlanService:
         self.coalescer = Coalescer(
             self.pool,
             max_batch=config.max_batch,
-            max_wait=config.max_wait,
             executor=self._executor,
             on_shed=self._count_shed,
             # Fairness: never more concurrent batches than workers, so the
-            # round-robin ready queue — not pool contention — decides
+            # coalescer's round-robin — not pool contention — decides
             # which (tenant, plan) group dispatches next.
             max_concurrent=config.workers,
         )
@@ -225,7 +225,7 @@ class PlanService:
         self.shed_overloaded = 0
         self.shed_deadline = 0
         #: Ledger-level idempotency-key replays served by this process
-        #: (in-window folds are counted by the coalescer separately).
+        #: (pending-duplicate folds are counted by the coalescer separately).
         self.dedup_hits = 0
 
     def _count_shed(self, kind):
@@ -242,15 +242,22 @@ class PlanService:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._executor, functools.partial(fn, *args))
 
+    async def _read(self, command):
+        """Run a read-only worker command and return its payload. Reads
+        are idempotent, so one that a worker dies serving is retried on
+        another worker even after delivery."""
+        reply = await self._in_thread(
+            functools.partial(self.pool.submit, command, retry_delivered=True)
+        )
+        if reply[0] != "ok":
+            raise RemoteExecutionError(reply[1], reply[2])
+        return reply[1]
+
     async def plan_list(self):
         if self._plan_infos is None:
-            infos = []
-            for name in self.plan_names():
-                reply = await self._in_thread(self.pool.submit, ("plan_info", name))
-                if reply[0] != "ok":
-                    raise RemoteExecutionError(reply[1], reply[2])
-                infos.append(reply[1])
-            self._plan_infos = infos
+            self._plan_infos = [
+                await self._read(("plan_info", name)) for name in self.plan_names()
+            ]
         return self._plan_infos
 
     async def execute(self, tenant, plan_name, epsilon, switches=None,
@@ -270,37 +277,21 @@ class PlanService:
             self.shed_deadline += 1
             raise RemoteExecutionError(
                 "deadline_exceeded", "deadline expired before admission",
-                retry_after=_RETRY_AFTER_HINT,
+                retry_after=RETRY_AFTER_HINT,
             )
         if self._exec_inflight >= self.config.max_queue:
             self.shed_overloaded += 1
             raise RemoteExecutionError(
                 "overloaded",
                 f"execute queue full ({self.config.max_queue} in flight)",
-                retry_after=_RETRY_AFTER_HINT,
+                retry_after=RETRY_AFTER_HINT,
             )
         self._exec_inflight += 1
         try:
-            if self.config.max_batch > 1:
-                payload = await self.coalescer.submit(
-                    tenant, plan_name, epsilon, switches, deadline=deadline,
-                    key=key,
-                )
-            else:
-                reply = await self._in_thread(
-                    functools.partial(
-                        self.pool.submit,
-                        ("execute", tenant, plan_name,
-                         [(float(epsilon), dict(switches or {}), key)]),
-                        # A keyed single-request dispatch is exactly-once
-                        # even if the worker dies after delivery: the
-                        # retry replays or charges via the dedup index.
-                        retry_delivered=key is not None,
-                    )
-                )
-                if reply[0] != "ok":
-                    raise RemoteExecutionError(reply[1], reply[2])
-                payload = reply[1][0]
+            payload = await self.coalescer.submit(
+                tenant, plan_name, epsilon, switches, deadline=deadline,
+                key=key,
+            )
             # Strip the out-of-band dedup marker before the payload reaches
             # the wire: a replayed reply must be byte-identical to the
             # original. Folded waiters share one payload dict, so only the
@@ -313,20 +304,14 @@ class PlanService:
 
     async def budget(self, tenant):
         _check_tenant(tenant)
-        reply = await self._in_thread(self.pool.submit, ("budget", tenant))
-        if reply[0] != "ok":
-            raise RemoteExecutionError(reply[1], reply[2])
-        return reply[1]
+        return await self._read(("budget", tenant))
 
     async def explain(self, plan_name, epsilon=None):
         if plan_name not in self._manifest.plans:
             raise ValidationError(
                 f"unknown plan {plan_name!r}; available: {self.plan_names()}"
             )
-        reply = await self._in_thread(self.pool.submit, ("explain", plan_name, epsilon))
-        if reply[0] != "ok":
-            raise RemoteExecutionError(reply[1], reply[2])
-        return reply[1]
+        return await self._read(("explain", plan_name, epsilon))
 
     async def health(self, ledgers=False):
         """Supervision snapshot (no locks on ledgers, no budget spent)."""
@@ -458,7 +443,7 @@ class PlanService:
             response = {"ok": False, "error": exc.kind, "message": exc.message}
             retry_after = exc.retry_after
             if retry_after is None and exc.kind == "LedgerBusyError":
-                retry_after = _RETRY_AFTER_HINT
+                retry_after = RETRY_AFTER_HINT
             if retry_after is not None:
                 response["retry_after"] = retry_after
         except (ValidationError, ValueError) as exc:
@@ -466,7 +451,7 @@ class PlanService:
         except WorkerBusyError as exc:
             response = {
                 "ok": False, "error": "overloaded", "message": str(exc),
-                "retry_after": _RETRY_AFTER_HINT,
+                "retry_after": RETRY_AFTER_HINT,
             }
         except WorkerCrashError as exc:
             response = {"ok": False, "error": type(exc).__name__, "message": str(exc)}

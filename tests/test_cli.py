@@ -175,10 +175,10 @@ class TestServeTarget:
         args = build_parser().parse_args(
             ["serve", "--plans", "p", "--ledger-root", "l", "--data", "d.npy",
              "--budget", "2.0", "--workers", "4", "--port", "0",
-             "--max-batch", "16", "--max-wait", "0.01", "--accountant", "rdp"]
+             "--max-batch", "16", "--accountant", "rdp"]
         )
         assert args.budget == 2.0 and args.workers == 4
-        assert args.max_batch == 16 and args.max_wait == 0.01
+        assert args.max_batch == 16
         assert args.accountant == "rdp"
         # serve must not inherit the experiments' deterministic default seed
         assert args.seed is None

@@ -11,8 +11,8 @@ Layer by layer:
 * **Engine** — ``execute(..., request_key=...)`` returns the original
   release (flagged ``deduplicated``) on a repeat, across engine
   instances sharing one ledger.
-* **Coalescer** — an in-window duplicate key folds onto one dispatched
-  request (one spend, two replies); the flush order round-robins across
+* **Coalescer** — a duplicate key folds onto its pending entry, one
+  dispatched request (one spend, two replies); dispatch round-robins across
   ``(tenant, plan)`` groups so a hot tenant cannot starve a quiet one.
 * **Clients** — both stamp auto-generated keys, and the busy backoff
   re-reads each refusal's ``retry_after`` clamped to the remaining
@@ -290,7 +290,7 @@ class TestEngineKeyedExecute:
 
 
 # --------------------------------------------------------------------- #
-# Coalescer: in-window folding + round-robin fairness
+# Coalescer: pending-duplicate folding + round-robin fairness
 # --------------------------------------------------------------------- #
 class _RecordingPool:
     def __init__(self):
@@ -306,7 +306,7 @@ class TestCoalescerFolding:
     def test_same_key_in_window_folds_to_one_dispatch(self):
         async def scenario():
             pool = _RecordingPool()
-            coalescer = Coalescer(pool, max_batch=10, max_wait=0.02)
+            coalescer = Coalescer(pool, max_batch=10)
             results = await asyncio.gather(
                 coalescer.submit("alice", "related", 0.01, key="K"),
                 coalescer.submit("alice", "related", 0.01, key="K"),
@@ -329,7 +329,7 @@ class TestCoalescerFolding:
     def test_unkeyed_batch_is_not_marked_retryable(self):
         async def scenario():
             pool = _RecordingPool()
-            coalescer = Coalescer(pool, max_batch=10, max_wait=0.01)
+            coalescer = Coalescer(pool, max_batch=10)
             await asyncio.gather(
                 coalescer.submit("alice", "related", 0.01, key="K"),
                 coalescer.submit("alice", "related", 0.01),  # unkeyed
@@ -360,7 +360,7 @@ class TestCoalescerFairness:
         async def scenario():
             pool = _GatedPool()
             coalescer = Coalescer(
-                pool, max_batch=2, max_wait=0.01, max_concurrent=1
+                pool, max_batch=2, max_concurrent=1
             )
             tasks = [
                 asyncio.ensure_future(coalescer.submit("hot", "p", 0.01))
@@ -376,7 +376,7 @@ class TestCoalescerFairness:
             tasks.append(
                 asyncio.ensure_future(coalescer.submit("cold", "p", 0.02))
             )
-            await asyncio.sleep(0.05)  # cold's window timer flushed it
+            await asyncio.sleep(0.05)  # cold's bucket pends behind the busy slot
             pool.gate.set()
             await asyncio.gather(*tasks)
             return pool
@@ -541,7 +541,7 @@ class TestServiceExactlyOnceDrills:
         ledger_root = tmp_path / "ledgers"
         config = ServiceConfig(
             plans_dir=plans_dir, ledger_root=ledger_root, data=data,
-            total_epsilon=2.0, workers=1, seed=11, max_batch=4, max_wait=0.005,
+            total_epsilon=2.0, workers=1, seed=11, max_batch=4,
         )
         # Worker 0 commits the spend, then dies before sending the reply —
         # the worst spot for at-most-once, the defining drill for
@@ -587,7 +587,7 @@ class TestServiceExactlyOnceDrills:
         ledger_root = tmp_path / "ledgers"
         config = ServiceConfig(
             plans_dir=plans_dir, ledger_root=ledger_root, data=data,
-            total_epsilon=2.0, workers=1, seed=13, max_batch=4, max_wait=0.005,
+            total_epsilon=2.0, workers=1, seed=13, max_batch=4,
         )
 
         async def scenario():
@@ -634,7 +634,7 @@ class TestServiceExactlyOnceDrills:
     ):
         config = ServiceConfig(
             plans_dir=plans_dir, ledger_root=tmp_path / "ledgers", data=data,
-            total_epsilon=2.0, workers=1, seed=17, max_batch=8, max_wait=0.05,
+            total_epsilon=2.0, workers=1, seed=17, max_batch=8,
         )
 
         async def scenario():
@@ -642,8 +642,8 @@ class TestServiceExactlyOnceDrills:
             host, port = await service.start()
             client = await AsyncServiceClient.connect(host, port)
             try:
-                # Two concurrent requests with ONE key land in the same
-                # coalescing window: one spend, two identical replies.
+                # Two concurrent requests with ONE key are pending
+                # together: one spend, two identical replies.
                 left, right = await asyncio.gather(
                     client.execute("acme", "related", 0.05, key="SAME"),
                     client.execute("acme", "related", 0.05, key="SAME"),

@@ -169,7 +169,7 @@ class TestChaosSoak:
             plans_dir=plans_dir, ledger_root=ledger_root,
             data=np.arange(float(N)),
             total_epsilon=50.0, workers=3, seed=17,
-            max_batch=8, max_wait=0.004,
+            max_batch=8,
             request_timeout=0.75,
             heartbeat_interval=0.2, heartbeat_timeout=0.6,
             restart_budget=50, backoff_base=0.02, healthy_after=5.0,

@@ -154,6 +154,30 @@ class TestSupervision:
             pool.shutdown()
             store.unlink()
 
+    def test_read_retried_after_its_worker_dies(self, plans_dir, data, tmp_path):
+        config = ServiceConfig(
+            plans_dir=plans_dir, ledger_root=tmp_path / "ledgers", data=data,
+            total_epsilon=5.0, workers=2, seed=29,
+        )
+        # Worker 0 dies on the first command delivered to it. A budget
+        # read is idempotent, so it retries on worker 1 instead of
+        # surfacing the crash.
+        failpoints = {0: {"serving.worker.request": "crash"}}
+
+        async def scenario():
+            service = PlanService(config, failpoints_by_worker=failpoints)
+            await service.start()
+            try:
+                budget = await service.budget("alice")
+                health = await service.health()
+            finally:
+                await service.shutdown()
+            return budget, health
+
+        budget, health = asyncio.run(scenario())
+        assert budget["spent_epsilon"] == 0.0
+        assert health["crashes"] == 1
+
     def test_crash_loop_is_quarantined_not_flapping(self, plans_dir, data, tmp_path):
         store, manifest = stage_plans(plans_dir, data)
         # Slot 0 re-arms a boot crash on EVERY respawn (the crash-loop
@@ -273,7 +297,7 @@ class TestLoadShedding:
 
         async def scenario():
             pool = _SlowPool()
-            coalescer = Coalescer(pool, max_batch=8, max_wait=0.02)
+            coalescer = Coalescer(pool, max_batch=8)
             now = time.monotonic()
             results = await asyncio.gather(
                 coalescer.submit("alice", "related", 0.01, deadline=now + 30.0),
@@ -305,7 +329,7 @@ class TestHotReload:
         ledger_root = tmp_path / "ledgers"
         config = ServiceConfig(
             plans_dir=live_dir, ledger_root=ledger_root, data=data,
-            total_epsilon=20.0, workers=2, seed=9, max_batch=8, max_wait=0.004,
+            total_epsilon=20.0, workers=2, seed=9, max_batch=8,
         )
 
         async def scenario():
@@ -593,7 +617,7 @@ class TestGracefulDrain:
         ledger_root = tmp_path / "ledgers"
         config = ServiceConfig(
             plans_dir=plans_dir, ledger_root=ledger_root, data=data,
-            total_epsilon=20.0, workers=2, seed=23, max_batch=8, max_wait=0.01,
+            total_epsilon=20.0, workers=2, seed=23, max_batch=8,
         )
         # Worker 0 dies (pre-spend) on the first request dispatched to it —
         # some of the in-flight burst lands on a worker that is killed

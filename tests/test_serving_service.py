@@ -7,9 +7,12 @@ The contracts under test:
   one shared segment, through the same verification as a disk load.
 * **Multi-tenant isolation** — tenants spend from separate ledgers;
   one tenant's releases never move another's budget.
-* **Coalescer semantics** — request order is preserved within a batch,
-  batch budget refusal degrades to sequential admission, and ``drain``
-  serves everything accepted before shutdown.
+* **Coalescer semantics** — dispatch is work-conserving (no timer: a
+  lone request goes out on the next loop turn, requests pending behind
+  busy slots share a batch), request order is preserved within and
+  across batches, duplicates fold only onto pending entries, batch
+  budget refusal degrades to sequential admission, and ``drain`` serves
+  everything accepted before shutdown.
 * **Crash safety** — a worker killed mid-spend leaves at most a dangling
   intent (never a committed overcharge), and the service keeps serving.
 * **Replay bit-identity** — after any amount of multi-worker concurrency,
@@ -23,6 +26,7 @@ and shares the staged plan directory across tests.
 
 import asyncio
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -185,11 +189,43 @@ class _FakePool:
         )
 
 
+class _GatedPool(_FakePool):
+    """A ``_FakePool`` whose dispatches block until the test admits them,
+    so a test controls exactly when each worker slot frees."""
+
+    def __init__(self):
+        super().__init__()
+        self._permits = threading.Semaphore(0)
+        self._arrived = threading.Condition()
+
+    def submit(self, command, timeout=None, retry_delivered=False):
+        reply = super().submit(command)
+        with self._arrived:
+            self._arrived.notify_all()
+        assert self._permits.acquire(timeout=10.0), "dispatch never admitted"
+        return reply
+
+    def admit(self, count):
+        """Let ``count`` more dispatches return."""
+        for _ in range(count):
+            self._permits.release()
+
+    async def dispatched(self, count):
+        """Wait, off the event loop, until ``count`` commands arrived."""
+        def wait():
+            with self._arrived:
+                assert self._arrived.wait_for(
+                    lambda: len(self.commands) >= count, timeout=10.0
+                )
+
+        await asyncio.get_running_loop().run_in_executor(None, wait)
+
+
 class TestCoalescer:
     def test_batch_formation_and_request_order(self):
         async def scenario():
             pool = _FakePool()
-            coalescer = Coalescer(pool, max_batch=5, max_wait=0.5)
+            coalescer = Coalescer(pool, max_batch=5)
             epsilons = [0.01, 0.02, 0.03, 0.04, 0.05]
             results = await asyncio.gather(
                 *[coalescer.submit("alice", "related", e) for e in epsilons]
@@ -206,7 +242,7 @@ class TestCoalescer:
     def test_buckets_are_per_tenant_and_plan(self):
         async def scenario():
             pool = _FakePool()
-            coalescer = Coalescer(pool, max_batch=10, max_wait=0.01)
+            coalescer = Coalescer(pool, max_batch=10)
             await asyncio.gather(
                 coalescer.submit("alice", "related", 0.01),
                 coalescer.submit("alice", "prefix", 0.01),
@@ -221,7 +257,7 @@ class TestCoalescer:
     def test_budget_refusal_degrades_to_sequential_admission(self):
         async def scenario():
             pool = _FakePool(remaining=0.25)
-            coalescer = Coalescer(pool, max_batch=5, max_wait=0.5)
+            coalescer = Coalescer(pool, max_batch=5)
             results = await asyncio.gather(
                 *[coalescer.submit("alice", "related", 0.1) for _ in range(5)],
                 return_exceptions=True,
@@ -240,26 +276,142 @@ class TestCoalescer:
         assert all(error.kind == "PrivacyBudgetError" for error in refused)
         assert coalescer.sequential_retries == 5
 
+    def test_lone_request_dispatches_without_a_timer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            delays = []
+            call_later = loop.call_later
+
+            def recording_call_later(delay, callback, *args, **kwargs):
+                delays.append(delay)
+                return call_later(delay, callback, *args, **kwargs)
+
+            loop.call_later = recording_call_later
+            pool = _FakePool()
+            coalescer = Coalescer(pool, max_batch=32, max_concurrent=1)
+            result = await coalescer.submit("alice", "related", 0.01)
+            return pool, delays, result
+
+        pool, delays, result = asyncio.run(scenario())
+        assert result["epsilon"] == 0.01
+        assert [len(command[3]) for command in pool.commands] == [1]
+        # The dispatch was scheduled for the next loop turn, and no
+        # positive-delay timer was ever armed.
+        assert delays and all(delay == 0 for delay in delays)
+
+    def test_requests_pending_behind_a_busy_slot_share_one_batch(self):
+        async def scenario():
+            pool = _GatedPool()
+            coalescer = Coalescer(pool, max_batch=32, max_concurrent=1)
+            first = asyncio.ensure_future(coalescer.submit("alice", "related", 0.01))
+            await pool.dispatched(1)
+            later = []
+            for epsilon in (0.02, 0.03, 0.04):
+                later.append(asyncio.ensure_future(
+                    coalescer.submit("alice", "related", epsilon)
+                ))
+                for _ in range(3):  # the pump runs, but the slot is busy
+                    await asyncio.sleep(0)
+            assert len(pool.commands) == 1
+            pool.admit(2)
+            results = await asyncio.gather(first, *later)
+            return pool, coalescer, results
+
+        pool, coalescer, results = asyncio.run(scenario())
+        assert [len(command[3]) for command in pool.commands] == [1, 3]
+        assert coalescer.batches_flushed == 2
+        assert [r["epsilon"] for r in results] == [0.01, 0.02, 0.03, 0.04]
+
+    def test_overfull_bucket_dispatches_in_order_slices(self):
+        epsilons = [0.01, 0.02, 0.03, 0.04, 0.05]  # 2 * max_batch + 1
+
+        async def scenario():
+            pool = _GatedPool()
+            coalescer = Coalescer(pool, max_batch=2, max_concurrent=1)
+            blocker = asyncio.ensure_future(coalescer.submit("bob", "related", 0.5))
+            await pool.dispatched(1)
+            tasks = [
+                asyncio.ensure_future(coalescer.submit("alice", "related", e))
+                for e in epsilons
+            ]
+            await asyncio.sleep(0)  # every submit is pending in one bucket
+            pool.admit(4)
+            results = await asyncio.gather(*tasks)
+            await blocker
+            return pool, results
+
+        pool, results = asyncio.run(scenario())
+        slices = [[request[0] for request in command[3]] for command in pool.commands[1:]]
+        assert slices == [[0.01, 0.02], [0.03, 0.04], [0.05]]
+        assert [r["epsilon"] for r in results] == epsilons
+
+    def test_duplicate_folds_only_onto_a_pending_entry(self):
+        keys = ["k0", "k1", "k2", "k3", "k4"]
+
+        async def scenario():
+            pool = _GatedPool()
+            coalescer = Coalescer(pool, max_batch=2, max_concurrent=1)
+            blocker = asyncio.ensure_future(coalescer.submit("bob", "related", 0.5))
+            await pool.dispatched(1)
+            tasks = [
+                asyncio.ensure_future(
+                    coalescer.submit("alice", "related", 0.01, key=key)
+                )
+                for key in keys
+            ]
+            await asyncio.sleep(0)
+            pool.admit(1)  # the blocker returns; slice [k0, k1] dispatches
+            await pool.dispatched(2)
+            # k0 is dispatched: its duplicate opens a fresh entry (the
+            # ledger dedups it). k3 is still pending: its duplicate folds.
+            again = [
+                asyncio.ensure_future(
+                    coalescer.submit("alice", "related", 0.01, key=key)
+                )
+                for key in ("k0", "k3")
+            ]
+            await asyncio.sleep(0)
+            pool.admit(3)
+            results = await asyncio.gather(*tasks)
+            again_results = await asyncio.gather(*again)
+            await blocker
+            return pool, coalescer, results, again_results
+
+        pool, coalescer, results, again_results = asyncio.run(scenario())
+        slices = [[request[2] for request in command[3]] for command in pool.commands[1:]]
+        assert slices == [["k0", "k1"], ["k2", "k3"], ["k4", "k0"]]
+        assert coalescer.duplicates_folded == 1
+        assert again_results[1] is results[3]  # folded: one shared payload
+        assert again_results[0] is not results[0]  # dispatched separately
+
     def test_drain_flushes_pending_and_refuses_new_work(self):
         async def scenario():
-            pool = _FakePool()
-            # Neither trigger can fire on its own: the bucket stays pending
-            # until drain flushes it.
-            coalescer = Coalescer(pool, max_batch=100, max_wait=30.0)
+            pool = _GatedPool()
+            coalescer = Coalescer(pool, max_batch=100, max_concurrent=1)
+            blocker = asyncio.ensure_future(coalescer.submit("bob", "related", 0.5))
+            await pool.dispatched(1)
+            # Queued behind the gated, busy slot, the bucket is still
+            # pending when drain() starts.
             tasks = [
                 asyncio.ensure_future(coalescer.submit("alice", "related", 0.01))
                 for _ in range(3)
             ]
             await asyncio.sleep(0)  # let every submit enqueue
-            await coalescer.drain()
-            results = await asyncio.gather(*tasks)
+            drain = asyncio.ensure_future(coalescer.drain())
+            await asyncio.sleep(0)
+            assert len(pool.commands) == 1 and not drain.done()
             with pytest.raises(RemoteExecutionError, match="draining"):
                 await coalescer.submit("alice", "related", 0.01)
-            return coalescer, results
+            pool.admit(2)
+            await drain
+            assert blocker.done() and all(task.done() for task in tasks)
+            results = await asyncio.gather(*tasks)
+            return pool, coalescer, results
 
-        coalescer, results = asyncio.run(scenario())
+        pool, coalescer, results = asyncio.run(scenario())
         assert len(results) == 3 and all(r["epsilon"] == 0.01 for r in results)
-        assert coalescer.batches_flushed == 1
+        assert [len(command[3]) for command in pool.commands] == [1, 3]
+        assert coalescer.batches_flushed == 2
 
 
 # --------------------------------------------------------------------- #
@@ -270,7 +422,7 @@ class TestServiceEndToEnd:
         ledger_root = tmp_path / "ledgers"
         config = ServiceConfig(
             plans_dir=plans_dir, ledger_root=ledger_root, data=data,
-            total_epsilon=2.0, workers=2, seed=11, max_batch=8, max_wait=0.005,
+            total_epsilon=2.0, workers=2, seed=11, max_batch=8,
         )
 
         async def scenario():
@@ -324,7 +476,7 @@ class TestServiceEndToEnd:
         ledger_root = tmp_path / "ledgers"
         config = ServiceConfig(
             plans_dir=plans_dir, ledger_root=ledger_root, data=data,
-            total_epsilon=2.0, workers=2, seed=13, max_batch=8, max_wait=0.002,
+            total_epsilon=2.0, workers=2, seed=13, max_batch=8,
         )
         # Worker 0 dies between writing the intent and the commit — the
         # moment a kill -9 would be worst. Its replacement (index 2) and
