@@ -80,7 +80,6 @@ from repro.privacy.accountant import (
     PureDPAccountant,
     make_accountant,
 )
-from repro.privacy.budget import PrivacyBudget
 from repro.workloads import (
     Workload,
     allrange_workload,
@@ -117,7 +116,6 @@ __all__ = [
     "NoiseOnResultsMechanism",
     "NotFittedError",
     "PlanCache",
-    "PrivacyBudget",
     "PrivacyBudgetError",
     "PrivateQueryEngine",
     "PureDPAccountant",

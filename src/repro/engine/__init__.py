@@ -3,7 +3,8 @@
 The public surface follows a DBMS-style split: ``engine.plan(workload)``
 returns an inspectable, cacheable :class:`ExecutionPlan`;
 ``engine.execute(plan, epsilon)`` performs the budget-audited noisy
-release. ``answer_workload`` remains as a deprecated one-shot shim.
+release, charged through the accountant's one release transaction
+(``spend_keyed``).
 """
 
 from repro.engine.compiled import CompiledPlan

@@ -13,14 +13,17 @@ would actually adopt, structured like a DBMS optimizer/executor pair:
   budget-audited noisy release of a plan at a chosen epsilon, with
   :meth:`~PrivateQueryEngine.execute_many` as its atomic batch form.
 
+Every release, keyed or not, is charged through one transaction, the
+accountant's ``spend_keyed``: admit the costs, produce the releases, and
+only then commit the charge (journaled, with the released vectors of
+keyed requests, when a durable ledger is attached). A release whose
+production fails is never charged.
+
 Privacy accounting is pluggable (:mod:`repro.privacy.accountant`): the
 default is pure eps-DP sequential composition; constructing the engine with
 ``delta > 0`` switches to (eps, delta) basic composition and routes
 Gaussian-mechanism releases through it, with both coordinates tracked per
 release in the audit log.
-
-``answer_workload`` (the pre-plan-API entry point) remains as a deprecated
-plan-then-execute shim.
 
 Example
 -------
@@ -39,7 +42,6 @@ from __future__ import annotations
 import itertools
 import os
 import uuid
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,7 +64,6 @@ from repro.linalg.validation import as_vector, check_positive, ensure_rng
 from repro.mechanisms.base import Mechanism, as_workload
 from repro.mechanisms.registry import make_mechanism
 from repro.privacy.accountant import BudgetAccountant, make_accountant
-from repro.privacy.cost import NoiseCost
 
 __all__ = ["PrivateQueryEngine", "Release"]
 
@@ -240,12 +241,6 @@ class PrivateQueryEngine:
         # configuration rather than once per call).
         self._local_plans = {}
         self._releases = []
-        # Idempotency fallback for plain in-memory accountants: key ->
-        # journal payload of the release it charged. A DurableAccountant
-        # keeps this index in the ledger itself (spend_keyed); this dict
-        # gives keyed execution the same exactly-once semantics within one
-        # engine lifetime when no ledger is attached.
-        self._keyed_results = {}
 
     # ------------------------------------------------------------------ #
     # Data epochs
@@ -527,14 +522,6 @@ class PrivateQueryEngine:
         except Exception:
             return False
 
-    def prepare(self, workload, epsilon_hint=0.1, mechanism="auto"):
-        """Fit (and cache) the mechanism for a workload without answering.
-
-        Compatibility wrapper over :meth:`plan`: pays the decomposition cost
-        up front, consumes no budget, returns the fitted mechanism.
-        """
-        return self.plan(workload, mechanism=mechanism, epsilon_hint=epsilon_hint).mechanism
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
@@ -556,20 +543,17 @@ class PrivateQueryEngine:
         self._check_domain(plan.domain_size)
         return plan.release_cost(check_positive(epsilon, "epsilon"))
 
-    def _predicted_error(self, plan, epsilon, memo=None):
+    @staticmethod
+    def _predicted_error(plan, epsilon, memo):
         """Analytic expected error of one release (None without a closed
         form), memoized per (plan, epsilon) within a batch."""
-        if memo is not None:
-            key = (id(plan), epsilon)
-            if key in memo:
-                return memo[key]
-        try:
-            expected = float(plan.mechanism.expected_squared_error(epsilon))
-        except (NotImplementedError, ReproError):
-            expected = None
-        if memo is not None:
-            memo[key] = expected
-        return expected
+        key = (id(plan), epsilon)
+        if key not in memo:
+            try:
+                memo[key] = float(plan.mechanism.expected_squared_error(epsilon))
+            except (NotImplementedError, ReproError):
+                memo[key] = None
+        return memo[key]
 
     def _metadata_base(self, plan):
         """The release-invariant audit metadata of one plan (shape, plan
@@ -583,10 +567,10 @@ class PrivateQueryEngine:
 
     def _finalize_release(
         self, plan, cost, answers, non_negative, integral, consistent,
-        expected_memo=None, metadata_base=None, realized=None,
+        expected_memo, metadata_base, realized,
     ):
         """Post-process raw noisy answers and wrap them as a Release; the
-        budget must already be charged.
+        cost must already be admitted.
 
         ``cost`` is the typed :class:`NoiseCost` the accountant was
         charged; its (epsilon, delta) populate the Release fields exactly
@@ -607,9 +591,8 @@ class PrivateQueryEngine:
                 integral=integral,
                 consistent=consistent,
             )
-        metadata = dict(metadata_base if metadata_base is not None else self._metadata_base(plan))
-        if realized is not None:
-            metadata["realized"] = {"epsilon": realized[0], "delta": realized[1]}
+        metadata = dict(metadata_base)
+        metadata["realized"] = {"epsilon": realized[0], "delta": realized[1]}
         metadata["cost"] = cost.to_record()
         metadata["postprocess"] = {
             "non_negative": bool(non_negative),
@@ -624,20 +607,6 @@ class PrivateQueryEngine:
             expected_error=self._predicted_error(plan, cost.epsilon, expected_memo),
             workload_key=plan.workload_key,
             metadata=metadata,
-        )
-
-    def _build_release(self, plan, cost, non_negative, integral,
-                       consistent, realized=None):
-        """Produce one release without logging it; the budget must already
-        be charged. Runs through the plan's compiled release operator —
-        noise draw plus recombination, with the strategy answers ``L x``
-        cached per data epoch."""
-        answers = plan.compile().answer(
-            self._data, cost.epsilon, self._rng, epoch=self._data_epoch
-        )
-        return self._finalize_release(
-            plan, cost, answers, non_negative, integral, consistent,
-            realized=realized,
         )
 
     @staticmethod
@@ -692,83 +661,35 @@ class PrivateQueryEngine:
             metadata=metadata,
         )
 
-    def _spend_keyed_local(self, entries, produce):
-        """In-memory mirror of ``DurableAccountant.spend_keyed`` for plain
-        accountants: same dedup/fold semantics, same (result, deduped)
-        return shape, with the result journal held in ``_keyed_results``
-        instead of on disk."""
-        results = [None] * len(entries)
-        fresh_positions = []
-        fresh_costs = []
-        fresh_keys = []
-        batch_index = {}
-        dup_positions = []
-        for position, (cost, key) in enumerate(entries):
-            stored = None if key is None else self._keyed_results.get(key)
-            if stored is not None:
-                results[position] = (stored, True)
-            elif key is not None and key in batch_index:
-                dup_positions.append((position, batch_index[key]))
-            else:
-                if key is not None:
-                    batch_index[key] = len(fresh_positions)
-                fresh_positions.append(position)
-                fresh_costs.append(cost)
-                fresh_keys.append(key)
-        if not fresh_positions:
-            return results
-        ledger_state = self._accountant.snapshot()
-        realized = []
-        if len(fresh_costs) == 1:
-            self._accountant.spend(fresh_costs[0])
-            realized.append(
-                (self._accountant.spent_epsilon, self._accountant.spent_delta)
-            )
-        else:
-            self._accountant.spend_many(fresh_costs, realized_out=realized)
-        try:
-            payloads = list(produce(list(fresh_positions), realized))
-        except BaseException:
-            self._accountant.restore(ledger_state)
-            raise
-        for index, position in enumerate(fresh_positions):
-            if fresh_keys[index] is not None:
-                self._keyed_results[fresh_keys[index]] = payloads[index]
-            results[position] = (payloads[index], False)
-        for position, fresh_index in dup_positions:
-            results[position] = (payloads[fresh_index], True)
-        return results
+    def _release(self, prepared):
+        """Release a validated batch of ``(plan, cost, switches, key)``
+        entries through the accountant's one transaction, ``spend_keyed``.
 
-    def _execute_keyed(self, prepared):
-        """Exactly-once execution of a validated batch whose entries are
-        ``(plan, cost, switches, key)`` with ``cost`` a typed
-        :class:`NoiseCost`.
-
-        Dedup, charging and the result journal live in the accountant
-        (``DurableAccountant.spend_keyed`` when a ledger is attached — the
-        dedup check runs inside the ledger's exclusive transaction, so a
-        key retried from another process replays instead of re-charging).
-        Fresh releases are built *before* the intent/commit pair is
-        journaled and are logged in the audit trail; deduplicated
-        positions return the stored release rebuilt from its journal
-        payload (``metadata["deduplicated"] = True``) and are **not**
-        re-logged — no new privacy event happened.
+        Fresh releases are built *before* the charge commits (and, on a
+        ledger, before the intent/commit pair is journaled) and are logged
+        in the audit trail; ``produce`` builds a journal payload only for
+        keyed positions. Deduplicated positions return the stored release
+        rebuilt from its payload (``metadata["deduplicated"] = True``) and
+        are **not** re-logged — no new privacy event happened.
         """
-        entries = [(cost, key) for _, cost, _, key in prepared]
         produced = {}
 
         def produce(positions, realized):
-            subset = [prepared[position][:3] for position in positions]
-            staged = self._produce_batch(subset, realized)
+            staged = self._produce_batch(
+                [prepared[position][:3] for position in positions], realized
+            )
+            payloads = []
             for position, release in zip(positions, staged):
                 produced[position] = release
-            return [self._journal_payload(release) for release in staged]
+                payloads.append(
+                    None if prepared[position][3] is None
+                    else self._journal_payload(release)
+                )
+            return payloads
 
-        spend_keyed = getattr(self._accountant, "spend_keyed", None)
-        if spend_keyed is not None:
-            outcomes = spend_keyed(entries, produce)
-        else:
-            outcomes = self._spend_keyed_local(entries, produce)
+        outcomes = self._accountant.spend_keyed(
+            [(cost, key) for _, cost, _, key in prepared], produce
+        )
         releases = []
         for position, (payload, deduped) in enumerate(outcomes):
             if deduped:
@@ -783,8 +704,9 @@ class PrivateQueryEngine:
                 consistent=False, request_key=None):
         """One budgeted release of a plan's answers at ``epsilon``.
 
-        Charges (``epsilon``, plan's per-release ``delta``) to the
-        accountant *before* releasing; an over-budget request raises
+        Admits (``epsilon``, plan's per-release ``delta``) against the
+        accountant before producing the release, and commits the charge
+        once it exists; an over-budget request raises
         :class:`repro.exceptions.PrivacyBudgetError` and leaves the audit
         log untouched. The post-processing switches are privacy-free (see
         :mod:`repro.analysis.postprocess`) and are recorded in
@@ -801,32 +723,12 @@ class PrivateQueryEngine:
         """
         request_key = self._check_request_key(request_key)
         cost = self._check_executable(plan, epsilon)
-        if request_key is not None:
-            switches = {
-                "non_negative": non_negative,
-                "integral": integral,
-                "consistent": consistent,
-            }
-            return self._execute_keyed(
-                [(plan, cost, switches, request_key)]
-            )[0]
-        ledger_state = self._accountant.snapshot()
-        self._accountant.spend(cost)
-        realized = (self._accountant.spent_epsilon, self._accountant.spent_delta)
-        try:
-            release = self._build_release(
-                plan, cost, non_negative, integral, consistent,
-                realized=realized,
-            )
-        except BaseException:
-            # Build failed (e.g. a post-processing projection error): the
-            # partially generated noise is discarded unexposed, so the
-            # charge is rolled back rather than burned without an audit
-            # entry to account for it.
-            self._accountant.restore(ledger_state)
-            raise
-        self._releases.append(release)
-        return release
+        switches = {
+            "non_negative": non_negative,
+            "integral": integral,
+            "consistent": consistent,
+        }
+        return self._release([(plan, cost, switches, request_key)])[0]
 
     def execute_many(self, requests, non_negative=False, integral=False, consistent=False):
         """Atomically release a batch of requests through the vectorised
@@ -841,8 +743,7 @@ class PrivateQueryEngine:
         :meth:`execute`): an already-charged key is answered from the
         durable result journal with zero additional charge, duplicate
         keys within one batch fold into a single charge, and only the
-        still-fresh requests are charged (atomically). A batch with no
-        keys takes the unkeyed all-or-nothing path below, unchanged.
+        still-fresh requests are charged (atomically).
 
         Requests are grouped by plan: each group's noise is drawn in **one**
         ``(k, r)`` RNG call and recombined with one GEMM through the plan's
@@ -854,12 +755,13 @@ class PrivateQueryEngine:
         order rather than request order (intentional — a documented
         serving-path property, not a privacy-relevant one).
 
-        The whole batch is all-or-nothing: the accountant is charged in one
+        The whole batch is all-or-nothing: the accountant admits it in one
         step, and if producing any release then fails (e.g. a
-        post-processing projection error) the charge is rolled back — the
-        partially generated noise is discarded unexposed — and the audit
-        log is left untouched. On success every :class:`Release` is logged
-        and returned in request order.
+        post-processing projection error) nothing is charged — the
+        partially generated noise is discarded unexposed, a ledger
+        journals nothing — and the audit log is left untouched. On success
+        every fresh :class:`Release` is logged, and all are returned in
+        request order.
         """
         defaults = {
             "non_negative": non_negative, "integral": integral, "consistent": consistent,
@@ -913,31 +815,18 @@ class PrivateQueryEngine:
             prepared.append((plan, cost, {**defaults, **overrides}, key))
         if not prepared:
             raise ValidationError("execute_many needs at least one (plan, epsilon) request")
-        if any(entry[3] is not None for entry in prepared):
-            return self._execute_keyed(prepared)
-        prepared = [entry[:3] for entry in prepared]
-        ledger_state = self._accountant.snapshot()
-        # Per-cost realized ledger states, in request order: bit-identical
-        # to what a loop of execute() calls would have recorded (spend_many
-        # simulates exactly that sequential ledger).
-        realized = []
-        self._accountant.spend_many(
-            [cost for _, cost, _ in prepared], realized_out=realized
-        )
-        try:
-            staged = self._produce_batch(prepared, realized)
-        except BaseException:
-            self._accountant.restore(ledger_state)
-            raise
-        self._releases.extend(staged)
-        return staged
+        return self._release(prepared)
 
     def _produce_batch(self, prepared, realized):
-        """Produce every release of a charged batch, plan-grouped.
+        """Produce every release of an admitted batch, plan-grouped.
 
-        Same-plan requests share one batched noise draw + GEMM; the
-        returned list is in the original request order. ``realized`` holds
-        the per-request post-charge ledger states, also in request order.
+        Each group runs through the plan's compiled release operator (noise
+        draw plus recombination, with the strategy answers ``L x`` cached
+        per data epoch): same-plan requests share one batched noise draw +
+        GEMM. The returned list is in the original request order.
+        ``realized`` holds the per-request post-charge ledger states (bit-
+        identical to what a loop of execute() calls would have recorded),
+        also in request order.
         """
         groups = {}  # id(plan) -> [request index, ...] in request order
         for index, (plan, _, _) in enumerate(prepared):
@@ -976,56 +865,3 @@ class PrivateQueryEngine:
                     **switches,
                 )
         return staged
-
-    # ------------------------------------------------------------------ #
-    # Compatibility shims (pre-plan-API surface)
-    # ------------------------------------------------------------------ #
-    def answer_workload(
-        self,
-        workload,
-        epsilon,
-        mechanism="auto",
-        non_negative=False,
-        integral=False,
-        consistent=False,
-    ):
-        """Deprecated: one-shot plan + execute (the pre-plan-API entry point).
-
-        Equivalent to ``engine.execute(engine.plan(workload, mechanism,
-        epsilon_hint=epsilon), epsilon, ...)`` and kept working for existing
-        callers; new code should plan once and execute many times.
-
-        Caveat (utility, not privacy): because the plan cache keys on
-        ``(workload, mechanism spec)`` and not on epsilon, the *first*
-        call's epsilon fixes the auto-selection ranking for every later
-        call on the same workload — a later call at a very different
-        epsilon may execute a mechanism that is no longer the predicted
-        winner at that epsilon (the release itself is still correctly
-        calibrated to the epsilon actually charged). Call
-        ``plan(..., use_cache=False)`` + ``execute`` to re-rank at a
-        specific epsilon.
-        """
-        warnings.warn(
-            "PrivateQueryEngine.answer_workload is deprecated; use "
-            "engine.plan(workload) then engine.execute(plan, epsilon)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        epsilon = check_positive(epsilon, "epsilon")
-        plan = self.plan(workload, mechanism=mechanism, epsilon_hint=epsilon)
-        return self.execute(
-            plan,
-            epsilon,
-            non_negative=non_negative,
-            integral=integral,
-            consistent=consistent,
-        )
-
-    def answer_queries(self, weight_rows, epsilon, mechanism="auto", **postprocess):
-        """Convenience: answer a list of weight vectors as one batch."""
-        matrix = np.asarray(weight_rows, dtype=np.float64)
-        if matrix.ndim == 1:
-            matrix = matrix[None, :]
-        epsilon = check_positive(epsilon, "epsilon")
-        plan = self.plan(matrix, mechanism=mechanism, epsilon_hint=epsilon)
-        return self.execute(plan, epsilon, **postprocess)

@@ -17,8 +17,9 @@ eps-differential privacy. The lifecycle mirrors scikit-learn:
    through the batched path.
 
 Every ``answer`` call (and every row of ``answer_many``) is an independent
-eps-DP release; repeated calls compose sequentially (use
-:class:`repro.privacy.PrivacyBudget` to track).
+eps-DP release; repeated calls compose sequentially (use a
+:class:`repro.privacy.BudgetAccountant`, or a
+:class:`repro.engine.PrivateQueryEngine`, to track).
 """
 
 from __future__ import annotations

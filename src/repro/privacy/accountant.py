@@ -1,10 +1,12 @@
 """Pluggable privacy accountants: (epsilon, delta) ledgers for the engine.
 
-:class:`repro.privacy.budget.PrivacyBudget` tracks a single scalar epsilon
-under sequential composition — exactly the paper's pure eps-DP model. A
-production engine additionally needs (a) an *audited, atomic* way to charge
-several releases at once and (b) the relaxed (eps, delta) model the Gaussian
-mechanisms live in. This module abstracts both behind one interface:
+The paper charges a whole batch one scalar epsilon under sequential
+composition. A production engine additionally needs (a) an *audited,
+atomic* way to charge several releases at once, charged exactly once per
+idempotency key (:meth:`BudgetAccountant.spend_keyed`, the one release
+transaction of :class:`repro.engine.PrivateQueryEngine`) and (b) the
+relaxed (eps, delta) model the Gaussian mechanisms live in. This module
+abstracts both behind one interface:
 
 * :class:`PureDPAccountant` — sequential composition of pure eps-DP
   releases (``sum eps_i <= eps_total``); refuses any release with
@@ -65,6 +67,44 @@ __all__ = [
 ]
 
 
+def partition_keyed(requests, lookup):
+    """Split ``spend_keyed`` requests ``[(cost, key), ...]`` three ways.
+
+    Returns ``(results, fresh, folds)``. ``results`` is aligned with
+    ``requests``: ``(stored, True)`` at each stored hit (``lookup(key)``
+    returned a result), ``None`` elsewhere. ``fresh`` lists the positions
+    to charge, in request order: every unkeyed request and the first
+    request of each new key. ``folds`` pairs each later in-call duplicate
+    of a fresh key with that key's index into ``fresh``.
+    """
+    results = [None] * len(requests)
+    fresh = []
+    folds = []
+    first = {}  # key -> index into fresh
+    for position, (_, key) in enumerate(requests):
+        stored = None if key is None else lookup(key)
+        if stored is not None:
+            results[position] = (stored, True)
+        elif key in first:
+            folds.append((position, first[key]))
+        else:
+            if key is not None:
+                first[key] = len(fresh)
+            fresh.append(position)
+    return results, fresh, folds
+
+
+def settle_keyed(results, fresh, folds, payloads):
+    """Fill a :func:`partition_keyed` result list with the ``payloads``
+    produced for ``fresh``: ``(payload, False)`` at each charged position,
+    ``(payload, True)`` at each fold."""
+    for position, payload in zip(fresh, payloads):
+        results[position] = (payload, False)
+    for position, index in folds:
+        results[position] = (payloads[index], True)
+    return results
+
+
 def _check_delta(delta, name="delta"):
     delta = float(delta)
     if delta < 0.0:
@@ -79,8 +119,9 @@ class BudgetAccountant(abc.ABC):
 
     Subclasses define one composition rule via :meth:`_validate_cost` (and,
     for non-additive rules, the ledger-state hooks); the base class owns
-    the protocol: spend tracking, the atomic :meth:`spend_many`, snapshots
-    and the reporting properties.
+    the protocol: spend tracking, the atomic :meth:`spend_many`, the
+    exactly-once :meth:`spend_keyed`, snapshots and the reporting
+    properties.
     """
 
     #: Short label recorded in release audit metadata.
@@ -98,6 +139,11 @@ class BudgetAccountant(abc.ABC):
         # would snap to exhausted.
         self._eps_slack = 1e-12 * max(1.0, self._total_epsilon)
         self._delta_slack = 1e-9 * self._total_delta
+        # spend_keyed's result journal: idempotency key -> stored result.
+        self._stored_results = {}
+        #: Keyed requests answered from the result journal (or folded onto
+        #: an in-call duplicate) instead of charging the budget.
+        self.dedup_hits = 0
 
     # ------------------------------------------------------------------ #
     # Ledger-state hooks (scalar (spent_epsilon, spent_delta) by default;
@@ -247,17 +293,7 @@ class BudgetAccountant(abc.ABC):
         ledger untouched) when the cost is invalid or would exceed the
         budget.
         """
-        cost = self._validate(as_spend_cost(cost, delta))
-        state = self._ledger_state()
-        if not self._fits_state(cost, state):
-            epsilon, delta = charged_pair(cost)
-            raise PrivacyBudgetError(
-                f"cannot spend (eps={epsilon}, delta={delta}): remaining "
-                f"(eps={self.remaining_epsilon}, delta={self.remaining_delta}) "
-                f"of (eps={self._total_epsilon}, delta={self._total_delta})"
-            )
-        self._set_ledger_state(self._commit_state(cost, state))
-        return cost
+        return self._admit([as_spend_cost(cost, delta)], many=False)[0]
 
     def spend_many(self, costs, realized_out=None):
         """Atomically consume a batch of costs (pairs or NoiseCosts).
@@ -265,9 +301,7 @@ class BudgetAccountant(abc.ABC):
         Either the whole batch is charged (and the validated costs are
         returned — pairs for pair input, the typed cost for
         :class:`~repro.privacy.cost.NoiseCost` input) or
-        :class:`PrivacyBudgetError` is raised with no state change — the
-        all-or-nothing primitive behind
-        ``PrivateQueryEngine.execute_many``.
+        :class:`PrivacyBudgetError` is raised with no state change.
 
         ``realized_out``, when given a list, receives one
         ``(spent_epsilon, spent_delta)`` pair per cost: the cumulative
@@ -275,6 +309,13 @@ class BudgetAccountant(abc.ABC):
         to what a loop of :meth:`spend` calls would have read off the
         properties, since admission simulates exactly that loop.
         """
+        return self._admit(costs, realized_out)
+
+    def _admit(self, costs, realized_out=None, many=True):
+        """The one admission behind :meth:`spend`, :meth:`spend_many` and
+        :meth:`spend_keyed`: charge ``costs`` all-or-nothing and return
+        them validated. ``many=False`` words a refusal as ``spend``'s
+        single-cost message instead of the batch one."""
         # Serving batches are typically many releases at a handful of
         # distinct costs; validate each distinct cost once (validation is
         # pure in the cost). NoiseCost is frozen/hashable, so typed costs
@@ -297,23 +338,30 @@ class BudgetAccountant(abc.ABC):
         # state (float addition is not associative, and a pre-summed total
         # admits boundary dust the looped exhaustion guard refuses). The
         # simulated state is assigned only after every cost fits, keeping
-        # spend_many all-or-nothing.
+        # the charge all-or-nothing.
         state = self._ledger_state()
         realized = []
         for index, cost in enumerate(validated):
             if not self._fits_state(cost, state):
-                charged = [charged_pair(entry) for entry in validated]
-                total_eps = sum(eps for eps, _ in charged)
-                total_delta = sum(delta for _, delta in charged)
                 epsilon, delta = charged_pair(cost)
                 spent_epsilon, spent_delta = self._state_spent(state)
-                raise PrivacyBudgetError(
-                    f"batch of {len(validated)} releases needs "
-                    f"(eps={total_eps}, delta={total_delta}): release {index} "
-                    f"at (eps={epsilon}, delta={delta}) exceeds what would "
-                    f"remain at that point "
+                remaining = (
                     f"(eps={max(self._total_epsilon - spent_epsilon, 0.0)}, "
                     f"delta={max(self._total_delta - spent_delta, 0.0)})"
+                )
+                if not many:
+                    raise PrivacyBudgetError(
+                        f"cannot spend (eps={epsilon}, delta={delta}): remaining "
+                        f"{remaining} of (eps={self._total_epsilon}, "
+                        f"delta={self._total_delta})"
+                    )
+                charged = [charged_pair(entry) for entry in validated]
+                raise PrivacyBudgetError(
+                    f"batch of {len(validated)} releases needs "
+                    f"(eps={sum(eps for eps, _ in charged)}, "
+                    f"delta={sum(delta for _, delta in charged)}): release "
+                    f"{index} at (eps={epsilon}, delta={delta}) exceeds what "
+                    f"would remain at that point {remaining}"
                 )
             state = self._commit_state(cost, state)
             if realized_out is not None:
@@ -323,6 +371,52 @@ class BudgetAccountant(abc.ABC):
             realized_out.extend(realized)
         return validated
 
+    def result_for(self, key):
+        """The stored result of the keyed spend that charged ``key``, or
+        ``None`` if no keyed spend with that key has committed."""
+        return self._stored_results.get(key)
+
+    def spend_keyed(self, requests, produce):
+        """Exactly-once spend: charge each request at most once per key.
+
+        ``requests`` is a list of ``(cost, key)`` pairs; a ``key`` of
+        ``None`` opts that request out of deduplication. A key whose spend
+        already committed returns its stored result with **zero additional
+        charge**; duplicate keys *within* one call fold onto one charge.
+        The still-fresh requests are charged atomically, then
+        ``produce(positions, realized)`` — the request indices just
+        charged and their realized cumulative ``(spent_epsilon,
+        spent_delta)`` — returns one result per position, which is stored
+        under its key. If ``produce`` raises, the charge is rolled back:
+        its results were never exposed. Returns a list aligned with
+        ``requests`` of ``(result, deduped)`` pairs.
+
+        This base version keeps its result journal in memory, for the
+        life of the accountant;
+        :meth:`repro.privacy.ledger.DurableAccountant.spend_keyed` runs
+        the same transaction against a durable ledger.
+        """
+        results, fresh, folds = partition_keyed(requests, self._stored_results.get)
+        self.dedup_hits += len(requests) - len(fresh)
+        if not fresh:
+            return results
+        before = self._ledger_state()
+        realized = []
+        self._admit(
+            [requests[position][0] for position in fresh], realized,
+            many=len(fresh) > 1,
+        )
+        try:
+            payloads = list(produce(list(fresh), realized))
+        except BaseException:
+            self._set_ledger_state(before)
+            raise
+        for position, payload in zip(fresh, payloads):
+            key = requests[position][1]
+            if key is not None:
+                self._stored_results[key] = payload
+        return settle_keyed(results, fresh, folds, payloads)
+
     def snapshot(self):
         """Opaque spend state, for :meth:`restore`."""
         return self._ledger_state()
@@ -331,16 +425,18 @@ class BudgetAccountant(abc.ABC):
         """Roll the ledger back to a :meth:`snapshot`.
 
         Only sound when every release charged since the snapshot was
-        *discarded unexposed* (the engine uses this to keep
-        ``execute_many`` all-or-nothing when producing a release fails
-        mid-batch); restoring past genuinely released noise would
-        under-report real privacy loss.
+        *discarded unexposed*; restoring past genuinely released noise
+        would under-report real privacy loss. The engine does not use
+        this: :meth:`spend_keyed` rolls its own charge back when
+        ``produce`` fails. Stored keyed results are not rolled back.
         """
         self._set_ledger_state(state)
 
     def reset(self):
-        """Forget all spending (useful between independent experiments)."""
+        """Forget all spending and every stored keyed result (useful
+        between independent experiments)."""
         self._set_ledger_state(self._fresh_state())
+        self._stored_results = {}
 
     def __repr__(self):
         return (

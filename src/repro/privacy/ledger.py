@@ -50,11 +50,12 @@ after the retry-with-backoff policy is exhausted,
 :class:`repro.exceptions.LedgerBusyError` is raised rather than blocking
 forever.
 
-``snapshot``/``restore`` (the engine's all-or-nothing ``execute_many``
-rollback) stay sound: a durable restore journals a ``rollback`` record
-naming the wrapper's own transactions, so replay excludes them — they are
-never resurrected — while spends committed by *other* processes in the
-interim survive.
+``snapshot``/``restore`` stay sound for direct callers (the engine never
+uses them: its releases run through :meth:`DurableAccountant.spend_keyed`,
+which journals nothing until the results exist): a durable restore
+journals a ``rollback`` record naming the wrapper's own transactions, so
+replay excludes them — they are never resurrected — while spends
+committed by *other* processes in the interim survive.
 
 **Exactly-once releases.** :meth:`DurableAccountant.spend_keyed` extends
 the intent/commit protocol into a durable *result journal*: the intent
@@ -95,7 +96,12 @@ from repro.exceptions import (
     PrivacyBudgetError,
 )
 from repro.io.atomic import RetryPolicy, fsync_directory, retry_with_backoff
-from repro.privacy.accountant import BudgetAccountant, make_accountant
+from repro.privacy.accountant import (
+    BudgetAccountant,
+    make_accountant,
+    partition_keyed,
+    settle_keyed,
+)
 from repro.privacy.cost import (
     NoiseCost,
     as_spend_cost,
@@ -857,15 +863,15 @@ class DurableAccountant(BudgetAccountant):
     reporting) delegates to the wrapped ``accountant`` — this class adds
     only durability and mutual exclusion:
 
-    * ``spend``/``spend_many`` run under the store's exclusive
-      cross-process transaction: replay any records other processes
-      committed, admit against that synced state via the inner
+    * ``spend``/``spend_many``/``spend_keyed`` are one transaction under
+      the store's exclusive cross-process lock: replay any records other
+      processes committed, admit against that synced state via the inner
       accountant (preserving its all-or-nothing and float-dust
-      semantics exactly), then write an ``intent`` record holding the
-      validated costs followed by a ``commit`` marker. Only the commit
-      makes the spend real; the fault matrix kills writers at every
-      instrumented instant and recovery always lands on *pre* or *post*,
-      bit-identically.
+      semantics exactly), build the results (keyed spends), then write an
+      ``intent`` record holding the validated costs followed by a
+      ``commit`` marker. Only the commit makes the spend real; the fault
+      matrix kills writers at every instrumented instant and recovery
+      always lands on *pre* or *post*, bit-identically.
     * ``snapshot``/``restore`` journal a ``rollback`` record naming this
       wrapper's own transactions, so a rolled-back charge is excised
       from replay forever (never resurrected by a later open) while
@@ -925,9 +931,6 @@ class DurableAccountant(BudgetAccountant):
                 raise LedgerError("compact_every must be a positive record count")
         self._compact_every = compact_every
         self._own_txns = []
-        #: Keyed spends answered from the durable result journal instead
-        #: of charging the budget (monotone per accountant instance).
-        self.dedup_hits = 0
         self._reset_replay_state()
         with self._store.transact():
             self._sync_records()
@@ -1192,73 +1195,101 @@ class DurableAccountant(BudgetAccountant):
         return self._inner.can_spend(cost, delta)
 
     # -- the durable spend path ---------------------------------------- #
-    def _charge(self, costs, realized_out=None, many=False):
-        staged_realized = [] if realized_out is not None else None
-        snapshot = None
-        txn = None
+    def _transact(self, requests, produce=None, many=None, realized_out=None):
+        """The one durable spend transaction behind :meth:`spend`,
+        :meth:`spend_many` and :meth:`spend_keyed`.
+
+        Under the store's exclusive lock: sync, answer stored keys from
+        the result journal, admit the fresh costs through the inner
+        accountant, build their results with ``produce`` (``None``: no
+        results), and only then journal one ``intent`` (costs, and keys
+        when any) plus one ``commit`` (results, when keyed). An admission
+        refusal propagates with nothing charged; any later failure rolls
+        the mirror back. ``many`` (``None``: by fresh count) picks
+        ``spend``'s or ``spend_many``'s refusal wording. Returns
+        ``(validated costs, results)``.
+        """
         with self._store.transact():
+            self._sync_records()
+            if self._meta is None:
+                raise LedgerCorruptError(
+                    f"budget ledger {self._store.path} has records but "
+                    "no meta header"
+                )
+            results, fresh, folds = partition_keyed(requests, self._lookup_result)
+            self.dedup_hits += len(requests) - len(fresh)
+            if not fresh and many is None:
+                return [], results
+            snapshot = self._inner.snapshot()
+            realized = []
+            validated = self._inner._admit(
+                [requests[position][0] for position in fresh], realized,
+                many=len(fresh) > 1 if many is None else many,
+            )
+            txn = None
             try:
-                self._sync_records()
-                if self._meta is None:
-                    raise LedgerCorruptError(
-                        f"budget ledger {self._store.path} has records but "
-                        "no meta header"
-                    )
-                snapshot = self._inner.snapshot()
-                if many:
-                    validated = self._inner.spend_many(
-                        costs, realized_out=staged_realized
-                    )
+                if produce is None:
+                    payloads = [None] * len(fresh)
                 else:
-                    validated = [self._inner.spend(costs[0])]
+                    payloads = list(produce(list(fresh), list(realized)))
+                if len(payloads) != len(fresh):
+                    raise LedgerError(
+                        "spend_keyed produce() returned "
+                        f"{len(payloads)} results for {len(fresh)} "
+                        "charged requests"
+                    )
+                keys = [requests[position][1] for position in fresh]
                 txn = _txn_id()
                 committed_costs = [_committed_cost(cost) for cost in validated]
-                self._store.append(
-                    {
-                        "op": "intent",
-                        "txn": txn,
-                        "costs": [cost_record(cost) for cost in committed_costs],
-                    },
-                    point="ledger.intent",
-                )
-                self._store.append({"op": "commit", "txn": txn}, point="ledger.commit")
-                # The inner state already includes this spend (the
-                # spend/spend_many call above performed it); mirror the
-                # bookkeeping the two appended records represent, so the
-                # next sync resumes past them instead of re-applying.
+                intent = {
+                    "op": "intent",
+                    "txn": txn,
+                    "costs": [cost_record(cost) for cost in committed_costs],
+                }
+                commit = {"op": "commit", "txn": txn}
+                stored_results = None
+                if any(key is not None for key in keys):
+                    intent["keys"] = keys
+                    stored_results = [
+                        payload if key is not None else None
+                        for key, payload in zip(keys, payloads)
+                    ]
+                    commit["results"] = stored_results
+                self._store.append(intent, point="ledger.intent")
+                self._store.append(commit, point="ledger.commit")
+                # The inner state already includes this spend (admitted
+                # above); mirror the bookkeeping the two appended records
+                # represent, so the next sync resumes past them instead of
+                # re-applying.
                 self._committed.append((txn, committed_costs))
+                if stored_results is not None:
+                    self._register_keyed(txn, keys, stored_results)
                 self._records_seen += 2
-            except PrivacyBudgetError:
-                # Admission failed inside the inner accountant: nothing
-                # was journaled and the inner ledger is untouched (its
-                # spend path raises before any state change).
-                raise
             except BaseException:
-                # A write failed after the inner ledger was charged. What
-                # actually reached the stream is backend- and
+                # Charged but not durably committed (a produce() or write
+                # failure). What reached the stream is backend- and
                 # instant-specific (a durable dangling intent, both
                 # records, or — after a sqlite rollback — nothing), so
                 # roll the mirror back to the synced pre-spend state and
                 # drop the cursor: the next transaction rescans from
                 # scratch instead of trusting a cursor that may disagree
                 # with the mirror in either direction.
-                if snapshot is not None:
-                    self._inner.restore(snapshot)
-                    if txn is not None and self._committed and (
-                        self._committed[-1][0] == txn
-                    ):
+                self._inner.restore(snapshot)
+                if txn is not None:
+                    if self._committed and self._committed[-1][0] == txn:
                         self._committed.pop()
-                    self._store.invalidate_cursor()
+                    self._prune_keyed({txn})
+                self._store.invalidate_cursor()
                 raise
         self._own_txns.append(txn)
         if realized_out is not None:
-            realized_out.extend(staged_realized)
+            realized_out.extend(realized)
         if (
             self._compact_every is not None
             and self._records_seen > self._compact_every
         ):
             self._maybe_checkpoint()
-        return validated
+        return validated, settle_keyed(results, fresh, folds, payloads)
 
     def _maybe_checkpoint(self):
         """Checkpoint compaction: rewrite the stream as ``meta`` + one
@@ -1320,14 +1351,12 @@ class DurableAccountant(BudgetAccountant):
             )
 
     def spend(self, cost, delta=0.0):
-        return self._charge([as_spend_cost(cost, delta)], many=False)[0]
+        return self._transact([(as_spend_cost(cost, delta), None)], many=False)[0][0]
 
     def spend_many(self, costs, realized_out=None):
-        return self._charge(
-            [cost if isinstance(cost, NoiseCost) else tuple(cost) for cost in costs],
-            realized_out=realized_out,
-            many=True,
-        )
+        return self._transact(
+            [(cost, None) for cost in costs], many=True, realized_out=realized_out
+        )[0]
 
     def spend_keyed(self, requests, produce):
         """Exactly-once spend: charge each request at most once per key
@@ -1346,114 +1375,15 @@ class DurableAccountant(BudgetAccountant):
         ``intent`` record carrying the keys, then one ``commit`` record
         carrying the results. A crash before the commit therefore leaves
         an uncharged ledger and free keys; a crash after it leaves a
-        charged ledger whose results every future retry replays.
+        charged ledger whose results every future retry replays. If
+        ``produce`` raises, nothing is journaled and the mirror is rolled
+        back.
 
         Duplicate keys *within* one call fold: one charge, the same
         result returned at every position. Returns a list aligned with
         ``requests`` of ``(result, deduped)`` pairs.
         """
-        results = [None] * len(requests)
-        payloads = []
-        with self._store.transact():
-            self._sync_records()
-            if self._meta is None:
-                raise LedgerCorruptError(
-                    f"budget ledger {self._store.path} has records but "
-                    "no meta header"
-                )
-            fresh_positions = []
-            fresh_costs = []
-            fresh_keys = []
-            batch_index = {}  # key -> index into fresh_positions
-            dup_positions = []  # (position, fresh index) in-call folds
-            for position, (cost, key) in enumerate(requests):
-                stored = None if key is None else self._lookup_result(key)
-                if stored is not None:
-                    self.dedup_hits += 1
-                    results[position] = (stored, True)
-                elif key is not None and key in batch_index:
-                    self.dedup_hits += 1
-                    dup_positions.append((position, batch_index[key]))
-                else:
-                    if key is not None:
-                        batch_index[key] = len(fresh_positions)
-                    fresh_positions.append(position)
-                    fresh_costs.append(
-                        cost if isinstance(cost, NoiseCost) else tuple(cost)
-                    )
-                    fresh_keys.append(key)
-            if not fresh_positions:
-                return results
-            snapshot = self._inner.snapshot()
-            txn = None
-            try:
-                staged_realized = []
-                if len(fresh_costs) == 1:
-                    validated = [self._inner.spend(fresh_costs[0])]
-                    staged_realized.append(
-                        (self._inner.spent_epsilon, self._inner.spent_delta)
-                    )
-                else:
-                    validated = self._inner.spend_many(
-                        fresh_costs, realized_out=staged_realized
-                    )
-                payloads = list(
-                    produce(list(fresh_positions), list(staged_realized))
-                )
-                if len(payloads) != len(fresh_positions):
-                    raise LedgerError(
-                        "spend_keyed produce() returned "
-                        f"{len(payloads)} results for {len(fresh_positions)} "
-                        "charged requests"
-                    )
-                txn = _txn_id()
-                committed_costs = [_committed_cost(cost) for cost in validated]
-                intent = {
-                    "op": "intent",
-                    "txn": txn,
-                    "costs": [cost_record(cost) for cost in committed_costs],
-                }
-                commit = {"op": "commit", "txn": txn}
-                stored_results = None
-                if any(key is not None for key in fresh_keys):
-                    intent["keys"] = list(fresh_keys)
-                    stored_results = [
-                        payloads[i] if fresh_keys[i] is not None else None
-                        for i in range(len(fresh_keys))
-                    ]
-                    commit["results"] = stored_results
-                self._store.append(intent, point="ledger.intent")
-                self._store.append(commit, point="ledger.commit")
-                self._committed.append((txn, committed_costs))
-                if stored_results is not None:
-                    self._register_keyed(txn, fresh_keys, stored_results)
-                self._records_seen += 2
-            except PrivacyBudgetError:
-                # Admission failed inside the inner accountant: nothing
-                # was journaled and the inner ledger is untouched.
-                raise
-            except BaseException:
-                # Charged but not durably committed (a produce() or write
-                # failure): same recovery as _charge — roll the mirror
-                # back and drop the cursor, forcing a from-scratch rescan.
-                self._inner.restore(snapshot)
-                if txn is not None:
-                    if self._committed and self._committed[-1][0] == txn:
-                        self._committed.pop()
-                    self._prune_keyed({txn})
-                self._store.invalidate_cursor()
-                raise
-            for index, position in enumerate(fresh_positions):
-                results[position] = (payloads[index], False)
-            for position, fresh_index in dup_positions:
-                results[position] = (payloads[fresh_index], True)
-        self._own_txns.append(txn)
-        if (
-            self._compact_every is not None
-            and self._records_seen > self._compact_every
-        ):
-            self._maybe_checkpoint()
-        return results
+        return self._transact(requests, produce)[1]
 
     # -- snapshot / restore / reset ------------------------------------ #
     def snapshot(self):

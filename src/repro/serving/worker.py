@@ -207,23 +207,10 @@ class _WorkerState:
         engine = self.engine(tenant)
         plan = self.store.plan(plan_name)
         # Requests are (epsilon, switches) or (epsilon, switches, key):
-        # the idempotency key rides through to the engine, whose keyed
-        # path answers already-charged keys from the durable result
-        # journal instead of spending again.
-        normalized = [
-            (request[0], request[1], request[2] if len(request) > 2 else None)
-            for request in requests
-        ]
-        if len(normalized) == 1:
-            epsilon, switches, key = normalized[0]
-            releases = [engine.execute(plan, epsilon, request_key=key, **switches)]
-        else:
-            releases = engine.execute_many(
-                [
-                    (plan, epsilon, switches, key)
-                    for epsilon, switches, key in normalized
-                ]
-            )
+        # the idempotency key rides through to the engine, which answers
+        # already-charged keys from the durable result journal instead of
+        # spending again.
+        releases = engine.execute_many([(plan, *request) for request in requests])
         return [_release_payload(release) for release in releases]
 
     def budget(self, tenant):

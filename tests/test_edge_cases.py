@@ -9,10 +9,6 @@ silent nonsense.
 import numpy as np
 import pytest
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:PrivateQueryEngine.answer_workload is deprecated:DeprecationWarning"
-)
-
 from repro.core.alm import decompose_workload
 from repro.core.lrm import LowRankMechanism
 from repro.exceptions import DecompositionError, ValidationError
@@ -136,15 +132,15 @@ class TestPrivacyAccountingEdges:
 
         engine = PrivateQueryEngine(np.ones(8), total_budget=0.1, seed=0)
         w = Workload(np.ones((1, 8)))
-        engine.prepare(w, mechanism="LM")  # free
-        engine.answer_workload(w, epsilon=0.1, mechanism="LM")
+        plan = engine.plan(w, mechanism="LM")  # free
+        engine.execute(plan, epsilon=0.1)
         with pytest.raises(PrivacyBudgetError):
-            engine.answer_workload(w, epsilon=0.01, mechanism="LM")
+            engine.execute(engine.plan(w, mechanism="LM"), epsilon=0.01)
 
     def test_budget_not_spent_on_failed_fit(self):
         from repro.engine import PrivateQueryEngine
 
         engine = PrivateQueryEngine(np.ones(8), total_budget=1.0, seed=0)
         with pytest.raises(ValidationError):
-            engine.answer_workload(Workload(np.ones((1, 4))), epsilon=0.5)
+            engine.execute(engine.plan(Workload(np.ones((1, 4))), epsilon_hint=0.5), 0.5)
         assert engine.spent_budget == 0.0

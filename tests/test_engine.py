@@ -1,16 +1,8 @@
-"""Unit tests for the query engine and mechanism selection.
-
-These predate the plan/execute split and deliberately keep exercising the
-deprecated ``answer_workload`` compatibility shim (plan-API coverage lives
-in ``test_plan.py``), so its DeprecationWarning is silenced file-wide.
-"""
+"""Unit tests for the query engine and mechanism selection (the one-shot
+plan-then-execute cases; plan-API coverage lives in ``test_plan.py``)."""
 
 import numpy as np
 import pytest
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:PrivateQueryEngine.answer_workload is deprecated:DeprecationWarning"
-)
 
 from repro.engine.query_engine import PrivateQueryEngine, Release
 from repro.engine.selection import (
@@ -24,6 +16,12 @@ from repro.mechanisms.baselines import NoiseOnDataMechanism
 from repro.workloads import wrange, wrelated
 
 FAST_LRM = {"LRM": {"max_outer": 15, "max_inner": 3, "nesterov_iters": 15, "stall_iters": 5}}
+
+
+def answer(engine, workload, epsilon, mechanism="auto", **postprocess):
+    """One-shot release: plan ``workload`` at ``epsilon``, then execute it."""
+    plan = engine.plan(workload, mechanism=mechanism, epsilon_hint=epsilon)
+    return engine.execute(plan, epsilon, **postprocess)
 
 
 class TestSelection:
@@ -87,7 +85,7 @@ class TestPrivateQueryEngine:
 
     def test_answer_shape_and_budget(self):
         engine = self._engine()
-        release = engine.answer_workload(wrange(6, 64, seed=0), epsilon=0.25, mechanism="LM")
+        release = answer(engine, wrange(6, 64, seed=0), epsilon=0.25, mechanism="LM")
         assert isinstance(release, Release)
         assert release.answers.shape == (6,)
         assert engine.remaining_budget == pytest.approx(0.75)
@@ -95,9 +93,9 @@ class TestPrivateQueryEngine:
 
     def test_budget_exhaustion(self):
         engine = self._engine(budget=0.3)
-        engine.answer_workload(wrange(4, 64, seed=0), epsilon=0.2, mechanism="LM")
+        answer(engine, wrange(4, 64, seed=0), epsilon=0.2, mechanism="LM")
         with pytest.raises(PrivacyBudgetError):
-            engine.answer_workload(wrange(4, 64, seed=1), epsilon=0.2, mechanism="LM")
+            answer(engine, wrange(4, 64, seed=1), epsilon=0.2, mechanism="LM")
 
     def test_can_answer(self):
         engine = self._engine(budget=0.3)
@@ -118,34 +116,35 @@ class TestPrivateQueryEngine:
     def test_release_workload_key_matches_prepare_cache(self):
         engine = self._engine()
         wl = wrange(6, 64, seed=0)
-        release = engine.answer_workload(wl, epsilon=0.25, mechanism="LM")
+        release = answer(engine, wl, epsilon=0.25, mechanism="LM")
         assert release.workload_key == engine._workload_key(wl)
 
     def test_auto_selection_on_low_rank(self):
         engine = self._engine()
-        release = engine.answer_workload(wrelated(8, 64, s=2, seed=1), epsilon=0.25)
+        release = answer(engine, wrelated(8, 64, s=2, seed=1), epsilon=0.25)
         assert release.mechanism == "LRM"
 
     def test_mechanism_cache_reused(self):
         engine = self._engine()
         workload = wrelated(8, 64, s=2, seed=1)
-        first = engine.prepare(workload, mechanism="LRM")
-        second = engine.prepare(workload, mechanism="LRM")
+        first = engine.plan(workload, mechanism="LRM").mechanism
+        second = engine.plan(workload, mechanism="LRM").mechanism
         assert first is second
 
     def test_prepare_consumes_no_budget(self):
         engine = self._engine()
-        engine.prepare(wrange(4, 64, seed=0), mechanism="LM")
+        engine.plan(wrange(4, 64, seed=0), mechanism="LM")
         assert engine.spent_budget == 0.0
 
     def test_domain_mismatch_rejected(self):
         engine = self._engine()
         with pytest.raises(ValidationError, match="domain"):
-            engine.answer_workload(wrange(4, 32, seed=0), epsilon=0.1)
+            answer(engine, wrange(4, 32, seed=0), epsilon=0.1)
 
     def test_postprocessing_flags(self):
         engine = self._engine()
-        release = engine.answer_workload(
+        release = answer(
+            engine,
             wrange(6, 64, seed=0),
             epsilon=0.5,
             mechanism="LM",
@@ -157,8 +156,8 @@ class TestPrivateQueryEngine:
 
     def test_release_log(self):
         engine = self._engine()
-        engine.answer_workload(wrange(4, 64, seed=0), epsilon=0.1, mechanism="LM")
-        engine.answer_workload(wrange(4, 64, seed=1), epsilon=0.1, mechanism="WM")
+        answer(engine, wrange(4, 64, seed=0), epsilon=0.1, mechanism="LM")
+        answer(engine, wrange(4, 64, seed=1), epsilon=0.1, mechanism="WM")
         log = engine.releases
         assert len(log) == 2
         assert log[0].mechanism == "LM"
@@ -166,16 +165,16 @@ class TestPrivateQueryEngine:
 
     def test_answer_queries_single_row(self):
         engine = self._engine()
-        release = engine.answer_queries(np.ones(64), epsilon=0.1, mechanism="LM")
+        release = answer(engine, np.ones((1, 64)), epsilon=0.1, mechanism="LM")
         assert release.answers.shape == (1,)
 
     def test_expected_error_recorded(self):
         engine = self._engine()
-        release = engine.answer_workload(wrange(4, 64, seed=0), epsilon=0.5, mechanism="LM")
+        release = answer(engine, wrange(4, 64, seed=0), epsilon=0.5, mechanism="LM")
         mech = NoiseOnDataMechanism().fit(wrange(4, 64, seed=0))
         assert release.expected_error == pytest.approx(mech.expected_squared_error(0.5))
 
     def test_reproducible_with_seed(self):
-        a = self._engine().answer_workload(wrange(4, 64, seed=0), epsilon=0.5, mechanism="LM")
-        b = self._engine().answer_workload(wrange(4, 64, seed=0), epsilon=0.5, mechanism="LM")
+        a = answer(self._engine(), wrange(4, 64, seed=0), epsilon=0.5, mechanism="LM")
+        b = answer(self._engine(), wrange(4, 64, seed=0), epsilon=0.5, mechanism="LM")
         assert np.allclose(a.answers, b.answers)

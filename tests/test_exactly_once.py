@@ -34,6 +34,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine import PrivateQueryEngine
 from repro.engine.plan import build_plan
+from repro.exceptions import PrivacyBudgetError
 from repro.io.serialization import save_plan
 from repro.privacy.accountant import make_accountant
 from repro.privacy.ledger import (
@@ -91,8 +92,34 @@ def _spend_one(acct, key, epsilon=0.1, tag="first"):
 # Ledger: spend_keyed semantics
 # --------------------------------------------------------------------- #
 class TestLedgerKeyedSpend:
+    """``spend_keyed`` on a journal ledger. The subclasses below run the
+    same cases on a SQLite ledger and on a plain in-memory accountant (the
+    base-class ``spend_keyed``). In memory, the cases that reopen, compact
+    or recover a ledger file are skipped; on SQLite, so is the dangling
+    intent drill (:meth:`ledger_file`)."""
+
+    suffix = ".journal"
+
+    def ledger_file(self, tmp_path, dangling_intent=False):
+        if self.suffix is None:
+            pytest.skip("needs a ledger file to reopen, compact or recover")
+        if dangling_intent and self.suffix != ".journal":
+            pytest.skip("SQLite rolls back a half-written transaction: no "
+                        "dangling intent is left to reconcile")
+        return tmp_path / f"budget{self.suffix}"
+
+    def open(self, tmp_path):
+        if self.suffix is None:
+            return make_accountant(2.0, 0.0, model="pure")
+        return _acct(self.ledger_file(tmp_path))
+
+    @staticmethod
+    def close(acct):
+        if hasattr(acct, "close"):
+            acct.close()
+
     def test_duplicate_key_replays_without_second_charge(self, tmp_path):
-        path = tmp_path / "budget.journal"
+        path = self.ledger_file(tmp_path)
         acct = _acct(path)
         result, deduped = _spend_one(acct, "K1")
         assert not deduped and result == _payload("first")
@@ -116,7 +143,7 @@ class TestLedgerKeyedSpend:
         reopened.close()
 
     def test_batch_mixes_hits_in_batch_dups_fresh_and_unkeyed(self, tmp_path):
-        acct = _acct(tmp_path / "budget.journal")
+        acct = self.open(tmp_path)
         _spend_one(acct, "OLD", tag="old")
         outcomes = acct.spend_keyed(
             [
@@ -132,10 +159,10 @@ class TestLedgerKeyedSpend:
         assert outcomes[1][0] == outcomes[2][0]  # one spend, two replies
         # Charged: OLD once (earlier) + NEW once + unkeyed once.
         assert acct.spent_epsilon == pytest.approx(0.3)
-        acct.close()
+        self.close(acct)
 
     def test_produce_failure_frees_the_key(self, tmp_path):
-        acct = _acct(tmp_path / "budget.journal")
+        acct = self.open(tmp_path)
 
         def exploding(positions, realized):
             raise RuntimeError("noise sampler died")
@@ -148,10 +175,28 @@ class TestLedgerKeyedSpend:
         result, deduped = _spend_one(acct, "K1", tag="retry")
         assert not deduped and result == _payload("retry")
         assert acct.spent_epsilon == pytest.approx(0.1)
-        acct.close()
+        self.close(acct)
+
+    def test_produce_budget_refusal_rolls_back_the_mirror(self, tmp_path):
+        # A PrivacyBudgetError raised by produce (not by admission) must
+        # roll the charge back like any other produce failure.
+        acct = self.open(tmp_path)
+        _spend_one(acct, "K0")
+
+        def refusing(positions, realized):
+            raise PrivacyBudgetError("refused downstream of admission")
+
+        with pytest.raises(PrivacyBudgetError):
+            acct.spend_keyed([((0.3, 0.0), "K1")], refusing)
+        assert acct.spent_epsilon == pytest.approx(0.1)
+        if self.suffix is not None:
+            reopened = _acct(self.ledger_file(tmp_path))
+            assert acct.spent_epsilon == reopened.spent_epsilon
+            reopened.close()
+        self.close(acct)
 
     def test_compaction_preserves_dedup_index(self, tmp_path):
-        path = tmp_path / "budget.journal"
+        path = self.ledger_file(tmp_path)
         acct = _acct(path, compact_every=6)
         for index in range(6):
             _spend_one(acct, f"K{index}", epsilon=0.05, tag=f"t{index}")
@@ -170,7 +215,7 @@ class TestLedgerKeyedSpend:
         reopened.close()
 
     def test_recover_preserves_results_and_reconciles_orphans(self, tmp_path):
-        path = tmp_path / "budget.journal"
+        path = self.ledger_file(tmp_path, dangling_intent=True)
         acct = _acct(path)
         _spend_one(acct, "COMMITTED", tag="kept")
         # Leave a dangling *keyed* intent on disk: the injected fault fires
@@ -203,6 +248,14 @@ class TestLedgerKeyedSpend:
         assert not deduped and result == _payload("retried")
         assert reopened.spent_epsilon == pytest.approx(0.2)
         reopened.close()
+
+
+class TestSQLiteKeyedSpend(TestLedgerKeyedSpend):
+    suffix = ".db"
+
+
+class TestMemoryKeyedSpend(TestLedgerKeyedSpend):
+    suffix = None
 
 
 # --------------------------------------------------------------------- #

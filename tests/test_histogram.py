@@ -3,10 +3,6 @@
 import numpy as np
 import pytest
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:PrivateQueryEngine.answer_workload is deprecated:DeprecationWarning"
-)
-
 from repro.data.histogram import (
     DomainMapper,
     grid_histogram_from_records,
@@ -113,7 +109,8 @@ class TestDomainMapper:
         mapper = DomainMapper(edges)
         workload = mapper.range_workload([(18, 64), (65, 100)])
         engine = PrivateQueryEngine(counts, total_budget=1.0, seed=3)
-        release = engine.answer_workload(workload, epsilon=0.5, mechanism="LM")
+        plan = engine.plan(workload, mechanism="LM", epsilon_hint=0.5)
+        release = engine.execute(plan, epsilon=0.5)
         exact = workload.answer(counts)
         # eps = 0.5 on thousands of records: answers within a loose band.
         assert np.all(np.abs(release.answers - exact) < 200)

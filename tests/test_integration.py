@@ -13,7 +13,7 @@ from repro.core.bounds import hardt_talwar_lower_bound, lrm_error_upper_bound
 from repro.core.lrm import LowRankMechanism
 from repro.experiments.runner import dataset_vector
 from repro.mechanisms.baselines import NoiseOnDataMechanism
-from repro.privacy.budget import PrivacyBudget
+from repro.privacy.accountant import PureDPAccountant
 from repro.workloads import Workload, wrelated
 
 FAST = {"max_outer": 25, "max_inner": 4, "nesterov_iters": 25, "stall_iters": 6}
@@ -95,18 +95,18 @@ class TestEndToEndPipeline:
         n = 64
         x = dataset_vector("social_network", n, seed=0)
         wl = wrelated(m=16, n=n, s=3, seed=1)
-        budget = PrivacyBudget(1.0)
+        accountant = PureDPAccountant(1.0)
         mech = LowRankMechanism(**FAST).fit(wl)
-        eps = budget.spend(0.5)
+        eps, _ = accountant.spend(0.5)
         noisy = mech.answer(x, eps, rng=2)
         assert noisy.shape == (16,)
-        assert budget.remaining == pytest.approx(0.5)
+        assert accountant.remaining_epsilon == pytest.approx(0.5)
 
     def test_repeated_release_consumes_budget(self):
-        budget = PrivacyBudget(0.2)
-        budget.spend(0.1)
-        budget.spend(0.1)
-        assert not budget.can_spend(0.1)
+        accountant = PureDPAccountant(0.2)
+        accountant.spend(0.1)
+        accountant.spend(0.1)
+        assert not accountant.can_spend(0.1)
 
     def test_comparison_ranks_lrm_first_in_favorable_regime(self):
         n = 256

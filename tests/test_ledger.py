@@ -566,3 +566,27 @@ class TestEngineLedger:
         # The batch charge was rolled back live and durably.
         assert engine.accountant.spent_epsilon == 0.1
         assert self._engine(path).accountant.spent_epsilon == 0.1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failed_unkeyed_batch_journals_nothing(self, tmp_path, monkeypatch, backend):
+        from repro.workloads import wrange
+
+        path = ledger_path(tmp_path, backend)
+        engine = self._engine(path)
+        plan = engine.plan(wrange(6, 64, seed=0), mechanism="LM")
+        engine.execute(plan, epsilon=0.1)
+        store = open_store(path)
+        before, _ = store.scan()
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("mid-batch failure")
+
+        monkeypatch.setattr(engine, "_produce_batch", explode, raising=True)
+        with pytest.raises(RuntimeError):
+            engine.execute_many([(plan, 0.2), (plan, 0.2)])
+        # Nothing was charged, so nothing reached the stream: no intent,
+        # no commit, no rollback record.
+        after, _ = store.scan()
+        store.close()
+        assert after == before
+        assert engine.accountant.spent_epsilon == 0.1

@@ -114,8 +114,8 @@ class TestPlanning:
     def test_prepare_returns_cached_plan_mechanism(self):
         engine = _engine()
         wl = wrelated(8, 64, s=2, seed=1)
-        first = engine.prepare(wl, mechanism="LRM")
-        second = engine.prepare(wl, mechanism="LRM")
+        first = engine.plan(wl, mechanism="LRM").mechanism
+        second = engine.plan(wl, mechanism="LRM").mechanism
         assert first is second
         assert first is engine.plan(wl, mechanism="LRM").mechanism
 
@@ -312,13 +312,6 @@ class TestExecution:
             return engine.execute(plan, 0.5).answers
 
         assert np.allclose(run(), run())
-
-    def test_answer_workload_shim_warns_and_matches(self):
-        engine = _engine()
-        with pytest.warns(DeprecationWarning, match="answer_workload"):
-            release = engine.answer_workload(wrange(6, 64, seed=0), epsilon=0.25, mechanism="LM")
-        assert release.answers.shape == (6,)
-        assert engine.spent_budget == pytest.approx(0.25)
 
 
 class TestDeltaRouting:

@@ -1,10 +1,9 @@
-"""Unit tests for the privacy substrate: noise, sensitivity, budgets."""
+"""Unit tests for the privacy substrate: noise and sensitivity."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import PrivacyBudgetError, ValidationError
-from repro.privacy.budget import PrivacyBudget, compose_sequential, split_budget
+from repro.exceptions import ValidationError
 from repro.privacy.noise import (
     expected_squared_noise,
     laplace_noise,
@@ -124,75 +123,3 @@ class TestScaleToSensitivity:
     def test_zero_l_raises(self):
         with pytest.raises(ValidationError):
             scale_to_sensitivity(np.ones((2, 2)), np.zeros((2, 2)))
-
-
-class TestPrivacyBudget:
-    def test_initial_state(self):
-        budget = PrivacyBudget(1.0)
-        assert budget.remaining == 1.0
-        assert budget.spent == 0.0
-
-    def test_spend(self):
-        budget = PrivacyBudget(1.0)
-        budget.spend(0.3)
-        assert budget.remaining == pytest.approx(0.7)
-
-    def test_overspend_raises(self):
-        budget = PrivacyBudget(0.5)
-        with pytest.raises(PrivacyBudgetError):
-            budget.spend(0.6)
-
-    def test_sequential_spends_accumulate(self):
-        budget = PrivacyBudget(1.0)
-        budget.spend(0.4)
-        budget.spend(0.4)
-        with pytest.raises(PrivacyBudgetError):
-            budget.spend(0.4)
-
-    def test_can_spend(self):
-        budget = PrivacyBudget(1.0)
-        assert budget.can_spend(1.0)
-        budget.spend(0.5)
-        assert not budget.can_spend(0.6)
-
-    def test_spend_fraction(self):
-        budget = PrivacyBudget(1.0)
-        assert budget.spend_fraction(0.5) == pytest.approx(0.5)
-        assert budget.spend_fraction(0.5) == pytest.approx(0.25)
-
-    def test_spend_fraction_rejects_bad(self):
-        with pytest.raises(PrivacyBudgetError):
-            PrivacyBudget(1.0).spend_fraction(1.5)
-
-    def test_reset(self):
-        budget = PrivacyBudget(1.0)
-        budget.spend(0.9)
-        budget.reset()
-        assert budget.remaining == 1.0
-
-    def test_rejects_nonpositive_total(self):
-        with pytest.raises(ValidationError):
-            PrivacyBudget(0.0)
-
-
-class TestComposition:
-    def test_compose_sequential(self):
-        assert compose_sequential(0.1, 0.2, 0.3) == pytest.approx(0.6)
-
-    def test_compose_requires_args(self):
-        with pytest.raises(PrivacyBudgetError):
-            compose_sequential()
-
-    def test_split_even(self):
-        parts = split_budget(1.0, 4)
-        assert len(parts) == 4
-        assert sum(parts) == pytest.approx(1.0)
-
-    def test_split_weighted(self):
-        parts = split_budget(1.0, 2, weights=[3.0, 1.0])
-        assert parts[0] == pytest.approx(0.75)
-        assert parts[1] == pytest.approx(0.25)
-
-    def test_split_weight_count_mismatch(self):
-        with pytest.raises(PrivacyBudgetError):
-            split_budget(1.0, 2, weights=[1.0])
