@@ -120,8 +120,8 @@ class BudgetAccountant(abc.ABC):
     Subclasses define one composition rule via :meth:`_validate_cost` (and,
     for non-additive rules, the ledger-state hooks); the base class owns
     the protocol: spend tracking, the atomic :meth:`spend_many`, the
-    exactly-once :meth:`spend_keyed`, snapshots and the reporting
-    properties.
+    exactly-once :meth:`spend_keyed` (which rolls its own charge back
+    when ``produce`` fails) and the reporting properties.
     """
 
     #: Short label recorded in release audit metadata.
@@ -416,21 +416,6 @@ class BudgetAccountant(abc.ABC):
             if key is not None:
                 self._stored_results[key] = payload
         return settle_keyed(results, fresh, folds, payloads)
-
-    def snapshot(self):
-        """Opaque spend state, for :meth:`restore`."""
-        return self._ledger_state()
-
-    def restore(self, state):
-        """Roll the ledger back to a :meth:`snapshot`.
-
-        Only sound when every release charged since the snapshot was
-        *discarded unexposed*; restoring past genuinely released noise
-        would under-report real privacy loss. The engine does not use
-        this: :meth:`spend_keyed` rolls its own charge back when
-        ``produce`` fails. Stored keyed results are not rolled back.
-        """
-        self._set_ledger_state(state)
 
     def reset(self):
         """Forget all spending and every stored keyed result (useful

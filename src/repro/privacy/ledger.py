@@ -50,12 +50,14 @@ after the retry-with-backoff policy is exhausted,
 :class:`repro.exceptions.LedgerBusyError` is raised rather than blocking
 forever.
 
-``snapshot``/``restore`` stay sound for direct callers (the engine never
-uses them: its releases run through :meth:`DurableAccountant.spend_keyed`,
-which journals nothing until the results exist): a durable restore
-journals a ``rollback`` record naming the wrapper's own transactions, so
-replay excludes them — they are never resurrected — while spends
-committed by *other* processes in the interim survive.
+**One reader.** Opening a ledger, every transaction's sync, checkpoint
+compaction, :func:`inspect_ledger`, :func:`recover_ledger` and
+:func:`ledger_health` all read the record stream through one fold
+(``_LedgerFold``), the only code that interprets a record's ``op``.
+Ledgers written by earlier versions may hold ``rollback`` records (a
+durable undo naming transactions to excise from replay); they are read
+for compatibility and no longer written — a spend whose release fails
+journals nothing, so there is nothing to undo.
 
 **Exactly-once releases.** :meth:`DurableAccountant.spend_keyed` extends
 the intent/commit protocol into a durable *result journal*: the intent
@@ -125,7 +127,6 @@ __all__ = [
     "DurableAccountant",
     "open_store",
     "open_ledger",
-    "replay_records",
     "accountant_from_meta",
     "inspect_ledger",
     "ledger_health",
@@ -203,6 +204,18 @@ def _decode_record(text, expected_seq):
 
 def _txn_id():
     return f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
+
+
+def _txn_payloads(txn, costs, keys=None, results=None):
+    """The ``intent`` and ``commit`` payloads of one transaction: the
+    intent holds the costs (and the idempotency ``keys`` of a keyed
+    transaction), the commit its stored ``results``."""
+    intent = {"op": "intent", "txn": txn, "costs": [cost_record(c) for c in costs]}
+    commit = {"op": "commit", "txn": txn}
+    if keys is not None:
+        intent["keys"] = keys
+        commit["results"] = results
+    return intent, commit
 
 
 def _committed_cost(cost):
@@ -734,104 +747,206 @@ def open_store(path, backend="auto", retry=None):
 
 
 # ---------------------------------------------------------------------- #
-# Replay
+# Replay: the one reader of the record stream
 # ---------------------------------------------------------------------- #
-def replay_records(records, accountant):
-    """Rebuild ``accountant``'s ledger state from a record stream.
+class _LedgerFold:
+    """The replayed bookkeeping of one record stream, folded record by
+    record — the only code that interprets a record's ``op``.
 
-    Applies the committed costs **in commit order** through the
-    accountant's ``_commit_state`` hook — the exact arithmetic the
-    original spends performed, so the rebuilt state (scalar sums, RDP
-    curves) is bit-identical to the in-memory ledger at the moment the
-    last commit record was written. Intents without a commit (a crashed
-    writer) are ignored; ``rollback`` records excise their transactions;
-    ``reset`` clears everything before it.
+    Holds the ``meta`` header, pending ``intents`` (txn -> ``(costs,
+    keys)``), the ``committed`` ``(txn, costs)`` pairs in commit order, the
+    result journal (``keyed``: txn -> ``{"keys", "results"}``, indexed by
+    key in ``keys``), the ``rolled_back`` and ``resets`` counts and the
+    number of ``records`` folded. With an ``accountant``, every commit's
+    costs are pushed through its ``_commit_state`` hook in commit order —
+    the exact arithmetic the original spends performed, so the state is
+    bit-identical to the in-memory ledger at that record. Plain commits
+    apply incrementally on top of the current state; a history-editing
+    record (``rollback``/``reset``) triggers one from-scratch recompute
+    at the end of the batch, again the same arithmetic. Without an
+    accountant only the bookkeeping is kept (``ledger_health``).
 
-    Returns a summary dict (``meta``, ``committed`` as ``(txn, costs)``
-    pairs, ``dangling_intents``, ``rolled_back``, ``resets``, plus the
-    result journal: ``keyed`` maps committed txn ids to their
-    ``{"keys", "results"}`` and ``orphaned_keys`` lists the idempotency
-    keys attached to dangling intents — charges that never committed, so
-    the keys are free for retry).
+    Intents without a commit (a crashed writer) are never applied;
+    ``rollback`` records excise the transactions they name; ``reset``
+    clears everything before it. ``rollback`` records are read for
+    compatibility with ledgers written by earlier versions and are no
+    longer written. ``check_meta`` (optional) validates the meta header
+    when it arrives.
     """
-    meta = None
-    intents = {}
-    committed = []
-    keyed = {}
-    rolled_back = 0
-    resets = 0
 
-    def _prune_keyed(undo):
-        for txn in list(keyed):
-            if txn in undo:
-                del keyed[txn]
+    def __init__(self, path, accountant=None, check_meta=None):
+        self.path = path
+        self.accountant = accountant
+        self.check_meta = check_meta
+        self.meta = None
+        self.intents = {}
+        self.committed = []
+        self.keyed = {}
+        self.keys = {}
+        self.rolled_back = 0
+        self.resets = 0
+        self.records = 0
+        if accountant is not None:
+            accountant._set_ledger_state(accountant._fresh_state())
 
-    for record in records:
-        op = record.get("op")
-        if op == "meta":
-            if meta is not None:
-                raise LedgerCorruptError("duplicate ledger meta header")
-            meta = record
-        elif op == "intent":
-            txn = record["txn"]
-            if txn in intents:
-                raise LedgerCorruptError(f"duplicate intent for txn {txn!r}")
-            costs = [cost_from_record(entry) for entry in record["costs"]]
-            keys = record.get("keys")
-            if keys is not None and len(keys) != len(costs):
+    def apply(self, records):
+        """Fold ``records`` (the stream's next records, in order)."""
+        recompute = False
+        for record in records:
+            op = record.get("op")
+            self.records += 1
+            if op == "meta":
+                if self.meta is not None:
+                    raise LedgerCorruptError("duplicate ledger meta header")
+                if self.check_meta is not None:
+                    self.check_meta(record)
+                self.meta = record
+            elif self.meta is None:
                 raise LedgerCorruptError(
-                    f"intent for txn {txn!r} carries {len(keys)} keys for "
-                    f"{len(costs)} costs"
+                    f"budget ledger {self.path} has records but no meta header"
                 )
-            intents[txn] = (costs, keys)
-        elif op == "commit":
-            txn = record["txn"]
-            entry = intents.pop(txn, None)
-            if entry is None:
-                raise LedgerCorruptError(f"commit for unknown txn {txn!r}")
-            costs, keys = entry
-            committed.append((txn, costs))
-            results = record.get("results")
-            if keys is not None and results is not None:
-                if len(results) != len(keys):
+            elif op == "intent":
+                txn = record["txn"]
+                if txn in self.intents:
+                    raise LedgerCorruptError(f"duplicate intent for txn {txn!r}")
+                costs = [cost_from_record(entry) for entry in record["costs"]]
+                keys = record.get("keys")
+                if keys is not None and len(keys) != len(costs):
                     raise LedgerCorruptError(
-                        f"commit for txn {txn!r} carries {len(results)} "
-                        f"results for {len(keys)} keys"
+                        f"intent for txn {txn!r} carries {len(keys)} keys "
+                        f"for {len(costs)} costs"
                     )
-                keyed[txn] = {"keys": list(keys), "results": list(results)}
-        elif op == "rollback":
-            undo = set(record["txns"])
-            survivors = [(txn, costs) for txn, costs in committed if txn not in undo]
-            rolled_back += len(committed) - len(survivors)
-            committed = survivors
-            _prune_keyed(undo)
-        elif op == "reset":
-            resets += 1
-            committed = []
-            keyed = {}
-        else:
-            raise LedgerCorruptError(f"unknown ledger record op {op!r}")
-    state = accountant._fresh_state()
-    for _, costs in committed:
-        for cost in costs:
-            state = accountant._commit_state(cost, state)
-    accountant._set_ledger_state(state)
-    orphaned_keys = sorted(
-        key
-        for _, keys in intents.values()
-        if keys is not None
-        for key in keys
-        if key is not None
-    )
-    return {
-        "meta": meta,
-        "committed": committed,
-        "keyed": keyed,
-        "dangling_intents": sorted(intents),
-        "orphaned_keys": orphaned_keys,
-        "rolled_back": rolled_back,
-        "resets": resets,
-    }
+                self.intents[txn] = (costs, keys)
+            elif op == "commit":
+                txn = record["txn"]
+                entry = self.intents.pop(txn, None)
+                if entry is None:
+                    raise LedgerCorruptError(f"commit for unknown txn {txn!r}")
+                costs, keys = entry
+                self._commit(txn, costs, keys, record.get("results"))
+                if self.accountant is not None and not recompute:
+                    state = self.accountant._ledger_state()
+                    for cost in costs:
+                        state = self.accountant._commit_state(cost, state)
+                    self.accountant._set_ledger_state(state)
+            elif op == "rollback":
+                undo = set(record["txns"])
+                survivors = [
+                    (txn, costs) for txn, costs in self.committed if txn not in undo
+                ]
+                self.rolled_back += len(self.committed) - len(survivors)
+                self.committed = survivors
+                self.keyed = {
+                    txn: entry for txn, entry in self.keyed.items() if txn not in undo
+                }
+                self.keys = {
+                    key: ref for key, ref in self.keys.items() if ref[0] not in undo
+                }
+                recompute = True
+            elif op == "reset":
+                self.resets += 1
+                self.committed = []
+                self.keyed = {}
+                self.keys = {}
+                recompute = True
+            else:
+                raise LedgerCorruptError(f"unknown ledger record op {op!r}")
+        if recompute:
+            self.replay()
+
+    def _commit(self, txn, costs, keys, results):
+        self.committed.append((txn, costs))
+        if keys is None or results is None:
+            return
+        if len(results) != len(keys):
+            raise LedgerCorruptError(
+                f"commit for txn {txn!r} carries {len(results)} results for "
+                f"{len(keys)} keys"
+            )
+        self.keyed[txn] = {"keys": list(keys), "results": list(results)}
+        # First writer wins: a key can only appear twice if an earlier
+        # holder was rolled back and re-spent, in which case the live txn
+        # re-indexes.
+        for index, key in enumerate(keys):
+            if key is not None and key not in self.keys:
+                self.keys[key] = (txn, index)
+
+    def mirror(self, txn, costs, keys, results):
+        """Fold the intent/commit pair this process just appended, for a
+        spend its accountant has already charged: O(1), no re-parse and
+        no state change. ``keys``/``results`` are ``None`` when unkeyed."""
+        self._commit(txn, costs, keys, results)
+        self.records += 2
+
+    def replay(self):
+        """Rebuild the accountant's state from the committed costs, from
+        scratch, in commit order."""
+        if self.accountant is None:
+            return
+        state = self.accountant._fresh_state()
+        for _, costs in self.committed:
+            for cost in costs:
+                state = self.accountant._commit_state(cost, state)
+        self.accountant._set_ledger_state(state)
+
+    def lookup(self, key):
+        """The stored result for idempotency ``key``, or ``None`` if no
+        live transaction committed one."""
+        ref = self.keys.get(key)
+        if ref is None:
+            return None
+        txn, index = ref
+        return self.keyed[txn]["results"][index]
+
+    @property
+    def dangling_intents(self):
+        """Txn ids of intents with no commit (crashed writers), sorted."""
+        return sorted(self.intents)
+
+    @property
+    def orphaned_keys(self):
+        """Idempotency keys of dangling intents: charges that never
+        committed, so the keys are free for retry."""
+        return sorted(
+            key
+            for _, keys in self.intents.values()
+            if keys is not None
+            for key in keys
+            if key is not None
+        )
+
+    @property
+    def keyed_results(self):
+        """Number of stored results the dedup index can replay."""
+        return sum(
+            sum(1 for result in entry["results"] if result is not None)
+            for entry in self.keyed.values()
+        )
+
+    def compaction_payloads(self):
+        """The stream as a checkpoint: a clean ``meta`` plus one
+        intent/commit pair per surviving transaction, in commit order. The
+        dedup index survives: keys and stored results ride along with
+        their txn. Replaying it reproduces this fold's state bit for bit;
+        what it drops (dangling intents, applied rollbacks and resets) is
+        exactly what replay already ignored."""
+        payloads = [
+            {key: value for key, value in self.meta.items() if key not in ("seq", "crc")}
+        ]
+        for txn, costs in self.committed:
+            entry = self.keyed.get(txn, {})
+            payloads.extend(
+                _txn_payloads(txn, costs, entry.get("keys"), entry.get("results"))
+            )
+        return payloads
+
+    def compacted(self, payloads):
+        """The stream was rewritten as ``payloads``
+        (:meth:`compaction_payloads`): only the stream bookkeeping resets."""
+        self.intents = {}
+        self.rolled_back = 0
+        self.resets = 0
+        self.records = len(payloads)
 
 
 def accountant_from_meta(meta):
@@ -872,10 +987,6 @@ class DurableAccountant(BudgetAccountant):
       ``commit`` marker. Only the commit makes the spend real; the fault
       matrix kills writers at every instrumented instant and recovery
       always lands on *pre* or *post*, bit-identically.
-    * ``snapshot``/``restore`` journal a ``rollback`` record naming this
-      wrapper's own transactions, so a rolled-back charge is excised
-      from replay forever (never resurrected by a later open) while
-      other processes' interim spends survive the restore.
     * Read properties (``spent_epsilon`` …) serve the last synced state
       without touching the disk; ``can_spend`` and :meth:`sync` refresh
       from the store first (lock-free — committed records only).
@@ -886,19 +997,21 @@ class DurableAccountant(BudgetAccountant):
 
     **Incremental sync.** Syncs go through the store's :meth:`scan_new`:
     the wrapper keeps the replayed bookkeeping (committed transactions,
-    dangling intents) in memory and applies only the records appended
-    since its last read, pushing new commits through ``_commit_state`` in
-    commit order — the same arithmetic, in the same order, as a full
-    replay, so the state stays bit-identical to one (the invariant
-    ``tests/test_ledger_incremental.py`` pins). A rollback or reset
-    record, or an unverifiable tail cursor (another process compacted),
-    falls back to recomputing from scratch. Spends are therefore O(new
+    dangling intents, the dedup index) in one ``_LedgerFold`` and folds
+    only the records appended since its last read, pushing new commits
+    through ``_commit_state`` in commit order — the same arithmetic, in
+    the same order, as a full replay, so the state stays bit-identical to
+    one (the invariant ``tests/test_ledger_incremental.py`` pins). Its own
+    intent/commit pair is mirrored into the fold without re-reading it. A
+    reset (or a legacy rollback) record recomputes the state from
+    scratch; an unverifiable tail cursor (another process compacted)
+    starts a fresh fold over the whole stream. Spends are therefore O(new
     records), not O(whole stream).
 
     ``compact_every`` (records; ``None`` = never) adds periodic
     checkpoint compaction: when the stream exceeds the threshold, the
-    spend that noticed rewrites it — inside the same exclusive
-    transaction — as a clean ``meta`` + intent/commit pair per surviving
+    spend that noticed rewrites it — in its own exclusive transaction,
+    right after — as a clean ``meta`` + intent/commit pair per surviving
     transaction (exactly :func:`recover_ledger`'s rewrite), so long-lived
     serving ledgers stay bounded by their *live* spend history instead of
     growing with every request ever served.
@@ -930,22 +1043,17 @@ class DurableAccountant(BudgetAccountant):
             if compact_every <= 0:
                 raise LedgerError("compact_every must be a positive record count")
         self._compact_every = compact_every
-        self._own_txns = []
-        self._reset_replay_state()
+        self._fold = None
         with self._store.transact():
             self._sync_records()
-            if self._meta is None:
-                if self._records_seen:
-                    raise LedgerCorruptError(
-                        f"budget ledger {self._store.path} has records but "
-                        "no meta header"
-                    )
-                # First open: write the header. The store's append advances
-                # its own tail cursor past the record, so mirror it into
-                # the replay bookkeeping directly instead of re-scanning.
-                self._store.append(self._meta_payload())
-                self._meta = self._meta_payload()
-                self._records_seen = 1
+            if self._fold.meta is None:
+                # First open of an empty stream (the fold refuses records
+                # before a meta header): write the header. The store's
+                # append advances its own tail cursor past the record, so
+                # mirror it into the fold directly instead of re-scanning.
+                meta = self._meta_payload()
+                self._store.append(meta)
+                self._fold.meta, self._fold.records = meta, 1
 
     # -- plumbing ------------------------------------------------------ #
     @property
@@ -1012,155 +1120,24 @@ class DurableAccountant(BudgetAccountant):
                 unknown,
             )
 
-    # -- incremental replay bookkeeping -------------------------------- #
-    def _reset_replay_state(self):
-        """Forget everything replayed so far (a full rescan follows)."""
-        self._meta = None
-        self._committed = []
-        self._intents = {}
-        self._keyed = {}
-        self._keys = {}
-        self._rolled_back = 0
-        self._resets = 0
-        self._records_seen = 0
-        self._inner._set_ledger_state(self._inner._fresh_state())
-
-    def _register_keyed(self, txn, keys, results):
-        """Index a committed result set by its idempotency keys. First
-        writer wins: a key can only appear twice if an earlier holder was
-        rolled back and re-spent, in which case the live txn re-indexes."""
-        self._keyed[txn] = {"keys": list(keys), "results": list(results)}
-        for index, key in enumerate(keys):
-            if key is not None and key not in self._keys:
-                self._keys[key] = (txn, index)
-
-    def _prune_keyed(self, undo):
-        """Drop the result-journal entries (and their dedup-index keys)
-        for the transactions in ``undo`` — rolled back, so the keys are
-        free for retry."""
-        for txn in list(self._keyed):
-            if txn in undo:
-                del self._keyed[txn]
-        self._keys = {
-            key: ref for key, ref in self._keys.items() if ref[0] not in undo
-        }
-
-    def _lookup_result(self, key):
-        """The stored result for ``key`` as of the last sync, or ``None``
-        if the key has never committed (or was rolled back)."""
-        ref = self._keys.get(key)
-        if ref is None:
-            return None
-        txn, index = ref
-        entry = self._keyed.get(txn)
-        if entry is None:
-            return None
-        return entry["results"][index]
-
+    # -- incremental replay ------------------------------------------ #
     def result_for(self, key):
         """Sync from the store and return the durably stored result for
         idempotency ``key``, or ``None`` if no keyed spend with that key
         has committed."""
         self.sync()
-        return self._lookup_result(key)
-
-    def _recompute_state(self):
-        """Rebuild the inner state from the committed list, from scratch —
-        the exact arithmetic :func:`replay_records` performs, needed after
-        any record (rollback/reset) that edits history rather than
-        appending to it."""
-        state = self._inner._fresh_state()
-        for _, costs in self._committed:
-            for cost in costs:
-                state = self._inner._commit_state(cost, state)
-        self._inner._set_ledger_state(state)
-
-    def _apply_records(self, records):
-        """Fold new records into the replayed bookkeeping and inner state.
-
-        Plain commits are applied *incrementally* — each cost pushed
-        through ``_commit_state`` on top of the current state, which is
-        exactly where a full replay's loop would be at that record, so the
-        result is bit-identical to one. History-editing records
-        (rollback/reset) trigger one from-scratch recompute at the end of
-        the batch instead, again mirroring the full replay's arithmetic.
-        """
-        recompute = False
-        for record in records:
-            op = record.get("op")
-            self._records_seen += 1
-            if op == "meta":
-                if self._meta is not None:
-                    raise LedgerCorruptError("duplicate ledger meta header")
-                self._check_meta(record)
-                self._meta = record
-            elif self._meta is None:
-                raise LedgerCorruptError(
-                    f"budget ledger {self._store.path} has records but no "
-                    "meta header"
-                )
-            elif op == "intent":
-                txn = record["txn"]
-                if txn in self._intents:
-                    raise LedgerCorruptError(f"duplicate intent for txn {txn!r}")
-                costs = [cost_from_record(entry) for entry in record["costs"]]
-                keys = record.get("keys")
-                if keys is not None and len(keys) != len(costs):
-                    raise LedgerCorruptError(
-                        f"intent for txn {txn!r} carries {len(keys)} keys "
-                        f"for {len(costs)} costs"
-                    )
-                self._intents[txn] = (costs, keys)
-            elif op == "commit":
-                txn = record["txn"]
-                entry = self._intents.pop(txn, None)
-                if entry is None:
-                    raise LedgerCorruptError(f"commit for unknown txn {txn!r}")
-                costs, keys = entry
-                self._committed.append((txn, costs))
-                results = record.get("results")
-                if keys is not None and results is not None:
-                    if len(results) != len(keys):
-                        raise LedgerCorruptError(
-                            f"commit for txn {txn!r} carries {len(results)} "
-                            f"results for {len(keys)} keys"
-                        )
-                    self._register_keyed(txn, keys, results)
-                if not recompute:
-                    state = self._inner._ledger_state()
-                    for cost in costs:
-                        state = self._inner._commit_state(cost, state)
-                    self._inner._set_ledger_state(state)
-            elif op == "rollback":
-                undo = set(record["txns"])
-                survivors = [
-                    (txn, costs) for txn, costs in self._committed if txn not in undo
-                ]
-                self._rolled_back += len(self._committed) - len(survivors)
-                self._committed = survivors
-                self._prune_keyed(undo)
-                recompute = True
-            elif op == "reset":
-                self._resets += 1
-                self._committed = []
-                self._keyed = {}
-                self._keys = {}
-                recompute = True
-            else:
-                raise LedgerCorruptError(f"unknown ledger record op {op!r}")
-        if recompute:
-            self._recompute_state()
+        return self._fold.lookup(key)
 
     def _sync_records(self):
-        """Refresh the mirror from the store: incremental when the store's
-        tail cursor verifies, full replay from scratch otherwise. Every
-        ambiguous write failure drops the cursor on the spot (see
-        :meth:`LedgerStore.invalidate_cursor`), before the next
-        transaction's torn-tail repair could trust it."""
+        """Refresh the mirror from the store: fold only the new records
+        when the store's tail cursor verifies, otherwise start a fresh
+        fold over the whole stream. Every ambiguous write failure drops
+        the cursor on the spot (see :meth:`LedgerStore.invalidate_cursor`),
+        before the next transaction's torn-tail repair could trust it."""
         records, _, resumed = self._store.scan_new()
         if not resumed:
-            self._reset_replay_state()
-        self._apply_records(records)
+            self._fold = _LedgerFold(self._store.path, self._inner, self._check_meta)
+        self._fold.apply(records)
 
     def sync(self):
         """Refresh the in-memory mirror from the store (lock-free read of
@@ -1211,22 +1188,20 @@ class DurableAccountant(BudgetAccountant):
         """
         with self._store.transact():
             self._sync_records()
-            if self._meta is None:
+            if self._fold.meta is None:
                 raise LedgerCorruptError(
-                    f"budget ledger {self._store.path} has records but "
-                    "no meta header"
+                    f"budget ledger {self._store.path} has no meta header"
                 )
-            results, fresh, folds = partition_keyed(requests, self._lookup_result)
+            results, fresh, folds = partition_keyed(requests, self._fold.lookup)
             self.dedup_hits += len(requests) - len(fresh)
             if not fresh and many is None:
                 return [], results
-            snapshot = self._inner.snapshot()
+            before = self._inner._ledger_state()
             realized = []
             validated = self._inner._admit(
                 [requests[position][0] for position in fresh], realized,
                 many=len(fresh) > 1 if many is None else many,
             )
-            txn = None
             try:
                 if produce is None:
                     payloads = [None] * len(fresh)
@@ -1239,32 +1214,21 @@ class DurableAccountant(BudgetAccountant):
                         "charged requests"
                     )
                 keys = [requests[position][1] for position in fresh]
-                txn = _txn_id()
-                committed_costs = [_committed_cost(cost) for cost in validated]
-                intent = {
-                    "op": "intent",
-                    "txn": txn,
-                    "costs": [cost_record(cost) for cost in committed_costs],
-                }
-                commit = {"op": "commit", "txn": txn}
                 stored_results = None
                 if any(key is not None for key in keys):
-                    intent["keys"] = keys
                     stored_results = [
                         payload if key is not None else None
                         for key, payload in zip(keys, payloads)
                     ]
-                    commit["results"] = stored_results
+                else:
+                    keys = None
+                txn = _txn_id()
+                committed_costs = [_committed_cost(cost) for cost in validated]
+                intent, commit = _txn_payloads(
+                    txn, committed_costs, keys, stored_results
+                )
                 self._store.append(intent, point="ledger.intent")
                 self._store.append(commit, point="ledger.commit")
-                # The inner state already includes this spend (admitted
-                # above); mirror the bookkeeping the two appended records
-                # represent, so the next sync resumes past them instead of
-                # re-applying.
-                self._committed.append((txn, committed_costs))
-                if stored_results is not None:
-                    self._register_keyed(txn, keys, stored_results)
-                self._records_seen += 2
             except BaseException:
                 # Charged but not durably committed (a produce() or write
                 # failure). What reached the stream is backend- and
@@ -1274,19 +1238,18 @@ class DurableAccountant(BudgetAccountant):
                 # drop the cursor: the next transaction rescans from
                 # scratch instead of trusting a cursor that may disagree
                 # with the mirror in either direction.
-                self._inner.restore(snapshot)
-                if txn is not None:
-                    if self._committed and self._committed[-1][0] == txn:
-                        self._committed.pop()
-                    self._prune_keyed({txn})
+                self._inner._set_ledger_state(before)
                 self._store.invalidate_cursor()
                 raise
-        self._own_txns.append(txn)
+            # The inner state already includes this spend (admitted above);
+            # fold the two appended records so the next sync resumes past
+            # them instead of re-applying.
+            self._fold.mirror(txn, committed_costs, keys, stored_results)
         if realized_out is not None:
             realized_out.extend(realized)
         if (
             self._compact_every is not None
-            and self._records_seen > self._compact_every
+            and self._fold.records > self._compact_every
         ):
             self._maybe_checkpoint()
         return validated, settle_keyed(results, fresh, folds, payloads)
@@ -1305,42 +1268,15 @@ class DurableAccountant(BudgetAccountant):
         try:
             with self._store.transact():
                 self._sync_records()
-                if self._meta is None or self._records_seen <= self._compact_every:
+                if self._fold.meta is None or self._fold.records <= self._compact_every:
                     return
-                payloads = [
-                    {
-                        key: value
-                        for key, value in self._meta.items()
-                        if key not in ("seq", "crc")
-                    }
-                ]
-                for txn, txn_costs in self._committed:
-                    intent = {
-                        "op": "intent",
-                        "txn": txn,
-                        "costs": [cost_record(cost) for cost in txn_costs],
-                    }
-                    commit = {"op": "commit", "txn": txn}
-                    entry = self._keyed.get(txn)
-                    if entry is not None:
-                        # The dedup index survives compaction: keys and
-                        # stored results ride along with their txn.
-                        intent["keys"] = entry["keys"]
-                        commit["results"] = entry["results"]
-                    payloads.append(intent)
-                    payloads.append(commit)
+                payloads = self._fold.compaction_payloads()
                 try:
                     self._store.compact(payloads)
                 except BaseException:
                     self._store.invalidate_cursor()
                     raise
-                # Only the stream bookkeeping resets; dropped records
-                # (dangling intents of crashed writers, applied rollbacks
-                # and resets) are exactly those replay already ignored.
-                self._intents = {}
-                self._rolled_back = 0
-                self._resets = 0
-                self._records_seen = len(payloads)
+                self._fold.compacted(payloads)
         except LedgerBusyError:
             return  # another process holds the lock; the next spend retries
         except (LedgerError, OSError) as exc:
@@ -1385,71 +1321,17 @@ class DurableAccountant(BudgetAccountant):
         """
         return self._transact(requests, produce)[1]
 
-    # -- snapshot / restore / reset ------------------------------------ #
-    def snapshot(self):
-        """Opaque rollback token: the inner snapshot plus a marker for
-        which of *this wrapper's* transactions existed at snapshot time."""
-        return (self._inner.snapshot(), len(self._own_txns))
-
-    def restore(self, state):
-        """Roll back this wrapper's post-snapshot transactions, durably.
-
-        A ``rollback`` record naming them is journaled, so replay — now or
-        after any future crash — excises them permanently; spends
-        committed by other processes since the snapshot are preserved
-        (the in-memory mirror is rebuilt from the journal, not from the
-        snapshot value).
-        """
-        try:
-            _, marker = state
-            marker = int(marker)
-        except (TypeError, ValueError) as exc:
-            raise LedgerError(
-                "DurableAccountant.restore expects a DurableAccountant.snapshot()"
-            ) from exc
-        rolled = list(self._own_txns[marker:])
-        with self._store.transact():
-            try:
-                self._sync_records()
-                if rolled:
-                    self._store.append(
-                        {"op": "rollback", "txns": rolled}, point="ledger.rollback"
-                    )
-                    del self._own_txns[marker:]
-                    # Mirror the record just appended (the cursor is past
-                    # it): excise the named transactions and recompute the
-                    # state from the survivors, exactly as replay would.
-                    undo = set(rolled)
-                    survivors = [
-                        (txn, costs)
-                        for txn, costs in self._committed
-                        if txn not in undo
-                    ]
-                    self._rolled_back += len(self._committed) - len(survivors)
-                    self._committed = survivors
-                    self._prune_keyed(undo)
-                    self._records_seen += 1
-                    self._recompute_state()
-            except BaseException:
-                self._store.invalidate_cursor()
-                raise
-
     def reset(self):
         """Durably forget all spending (journals a ``reset`` record)."""
         with self._store.transact():
             try:
                 self._sync_records()
-                self._store.append({"op": "reset"})
-                self._resets += 1
-                self._committed = []
-                self._keyed = {}
-                self._keys = {}
-                self._records_seen += 1
-                self._recompute_state()
+                record = {"op": "reset"}
+                self._store.append(record)
+                self._fold.apply([record])
             except BaseException:
                 self._store.invalidate_cursor()
                 raise
-        self._own_txns = []
 
 
 def open_ledger(path, accountant, backend="auto", retry=None, compact_every=None):
@@ -1490,44 +1372,45 @@ def _cost_families(committed):
     return families
 
 
-def _summarize(store, records, torn, summary, accountant):
+def _summarize(store, torn, fold):
+    accountant = fold.accountant
     spent_epsilon, spent_delta = accountant._state_spent(accountant._ledger_state())
     return {
         "path": str(store.path),
         "backend": store.backend,
-        "records": len(records),
-        "committed": len(summary["committed"]),
-        "costs": sum(len(costs) for _, costs in summary["committed"]),
-        "keyed_results": sum(
-            sum(1 for result in entry["results"] if result is not None)
-            for entry in summary.get("keyed", {}).values()
-        ),
-        "dangling_intents": summary["dangling_intents"],
-        "orphaned_keys": summary.get("orphaned_keys", []),
-        "rolled_back": summary["rolled_back"],
-        "resets": summary["resets"],
-        "families": _cost_families(summary["committed"]),
+        "records": fold.records,
+        "committed": len(fold.committed),
+        "costs": sum(len(costs) for _, costs in fold.committed),
+        "keyed_results": fold.keyed_results,
+        "dangling_intents": fold.dangling_intents,
+        "orphaned_keys": fold.orphaned_keys,
+        "rolled_back": fold.rolled_back,
+        "resets": fold.resets,
+        "families": _cost_families(fold.committed),
         "torn_tail_bytes": torn,
-        "model": summary["meta"].get("model"),
-        "total_epsilon": summary["meta"].get("total_epsilon"),
-        "total_delta": summary["meta"].get("total_delta"),
+        "model": fold.meta.get("model"),
+        "total_epsilon": fold.meta.get("total_epsilon"),
+        "total_delta": fold.meta.get("total_delta"),
         "spent_epsilon": spent_epsilon,
         "spent_delta": spent_delta,
-        "remaining_epsilon": max(
-            summary["meta"].get("total_epsilon") - spent_epsilon, 0.0
-        ),
+        "remaining_epsilon": max(fold.meta.get("total_epsilon") - spent_epsilon, 0.0),
     }
 
 
-def _scan_and_replay(store):
+def _scan_and_fold(store, replay=True):
+    """Scan the whole stream (verifying every checksum) and fold it.
+    ``replay=True`` replays it into a fresh accountant rebuilt from the
+    meta header; ``False`` keeps only the bookkeeping. Returns ``(fold,
+    torn_tail_bytes)``."""
     records, torn = store.scan()
-    if not records:
+    fold = _LedgerFold(store.path)
+    fold.apply(records)
+    if fold.meta is None:
         raise LedgerError(f"budget ledger {store.path} is empty or missing")
-    if records[0].get("op") != "meta":
-        raise LedgerCorruptError(f"budget ledger {store.path} has no meta header")
-    accountant = accountant_from_meta(records[0])
-    summary = replay_records(records, accountant)
-    return records, torn, summary, accountant
+    if replay:
+        fold.accountant = accountant_from_meta(fold.meta)
+        fold.replay()
+    return fold, torn
 
 
 def inspect_ledger(path, backend="auto"):
@@ -1536,15 +1419,15 @@ def inspect_ledger(path, backend="auto"):
     tail, realized spend). Never modifies the ledger."""
     store = open_store(path, backend=backend)
     try:
-        records, torn, summary, accountant = _scan_and_replay(store)
-        return _summarize(store, records, torn, summary, accountant)
+        fold, torn = _scan_and_fold(store)
+        return _summarize(store, torn, fold)
     finally:
         store.close()
 
 
 def ledger_health(path, backend="auto"):
-    """Cheap read-side liveness probe of one ledger: a raw scan with no
-    accountant replay, no locks held for the journal read, and no
+    """Cheap read-side liveness probe of one ledger: a scan folded without
+    an accountant, no locks held for the journal read, and no
     modification. The serving tier's ``health`` op calls this per tenant;
     ``ok`` means the file exists, parses, carries a meta header, and has
     neither a torn tail nor dangling intents awaiting repair."""
@@ -1553,37 +1436,24 @@ def ledger_health(path, backend="auto"):
         return {"path": str(path), "exists": False, "ok": False}
     store = open_store(path, backend=backend)
     try:
-        records, torn = store.scan()
-    except LedgerCorruptError as exc:
+        fold, torn = _scan_and_fold(store, replay=False)
+    except LedgerError as exc:
         return {
             "path": str(path), "exists": True, "ok": False,
             "error": f"{type(exc).__name__}: {exc}",
         }
     finally:
         store.close()
-    has_meta = bool(records) and records[0].get("op") == "meta"
-    intents = {
-        record["txn"] for record in records if record.get("op") == "intent"
-    }
-    closed = {
-        record["txn"]
-        for record in records
-        if record.get("op") in ("commit", "rollback")
-    }
-    dangling = len(intents - closed)
-    keyed_results = sum(
-        1 for record in records
-        if record.get("op") == "commit" and record.get("results")
-    )
+    dangling = len(fold.intents)
     return {
         "path": str(path),
         "backend": store.backend,
         "exists": True,
-        "records": len(records),
+        "records": fold.records,
         "torn_tail_bytes": torn,
         "dangling_intents": dangling,
-        "keyed_results": keyed_results,
-        "ok": has_meta and torn == 0 and dangling == 0,
+        "keyed_results": fold.keyed_results,
+        "ok": torn == 0 and dangling == 0,
     }
 
 
@@ -1610,42 +1480,17 @@ def recover_ledger(path, backend="auto", dry_run=False):
     store = open_store(path, backend=backend)
     try:
         if dry_run:
-            records, torn, summary, accountant = _scan_and_replay(store)
-            report = _summarize(store, records, torn, summary, accountant)
-            report["dry_run"] = True
-            report["reconciled_orphans"] = len(summary["dangling_intents"])
-            report["freed_keys"] = list(summary["orphaned_keys"])
-            return report
-        with store.transact():
-            records, torn, summary, accountant = _scan_and_replay(store)
-            reconciled = len(summary["dangling_intents"])
-            freed_keys = list(summary["orphaned_keys"])
-            meta = {
-                key: value
-                for key, value in summary["meta"].items()
-                if key not in ("seq", "crc")
-            }
-            payloads = [meta]
-            for txn, costs in summary["committed"]:
-                intent = {
-                    "op": "intent",
-                    "txn": txn,
-                    "costs": [cost_record(cost) for cost in costs],
-                }
-                commit = {"op": "commit", "txn": txn}
-                entry = summary["keyed"].get(txn)
-                if entry is not None:
-                    intent["keys"] = entry["keys"]
-                    commit["results"] = entry["results"]
-                payloads.append(intent)
-                payloads.append(commit)
-            store.compact(payloads)
-            records, torn = store.scan()
-            summary = replay_records(records, accountant)
-            report = _summarize(store, records, torn, summary, accountant)
-            report["dry_run"] = False
-            report["reconciled_orphans"] = reconciled
-            report["freed_keys"] = freed_keys
-            return report
+            fold, torn = _scan_and_fold(store)
+            report = _summarize(store, torn, fold)
+        else:
+            with store.transact():
+                fold, _ = _scan_and_fold(store)
+                store.compact(fold.compaction_payloads())
+                recovered, torn = _scan_and_fold(store)
+                report = _summarize(store, torn, recovered)
+        report["dry_run"] = bool(dry_run)
+        report["reconciled_orphans"] = len(fold.intents)
+        report["freed_keys"] = fold.orphaned_keys
+        return report
     finally:
         store.close()

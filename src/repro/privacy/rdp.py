@@ -393,8 +393,8 @@ class RDPAccountant(BudgetAccountant):
     All :class:`BudgetAccountant` contracts carry over through the
     ledger-state hooks: ``spend`` raises before any state change,
     ``spend_many`` is all-or-nothing and bit-identical to a loop of
-    ``spend`` calls (curves add in request order), and
-    ``snapshot``/``restore`` round-trip the curve.
+    ``spend`` calls (curves add in request order), and a failed
+    ``spend_keyed`` restores the curve it started from.
     """
 
     name = "rdp"
@@ -471,7 +471,7 @@ class RDPAccountant(BudgetAccountant):
 
     def _ledger_state(self):
         # Curves are immutable (commits allocate a new array), so sharing
-        # the array between the live ledger and snapshots is safe.
+        # the array between the live ledger and saved states is safe.
         return (self._curve, self._spent_any)
 
     def _set_ledger_state(self, state):

@@ -272,9 +272,6 @@ for _name in _JOURNAL_SPEND_POINTS:
     failpoints.register(_name, "durable-ledger spend write path (journal backend)")
 for _name in _SQLITE_SPEND_POINTS:
     failpoints.register(_name, "durable-ledger spend write path (sqlite backend)")
-failpoints.register("ledger.rollback.before_append", "durable restore write path")
-failpoints.register("ledger.rollback.torn", "durable restore write path")
-failpoints.register("ledger.rollback.after_append", "durable restore write path")
 failpoints.register("journal.compact.before_replace", "journal compaction/rotation")
 failpoints.register("journal.compact.after_replace", "journal compaction/rotation")
 failpoints.register("io.atomic.before_replace", "atomic on-disk writes (serialization)")

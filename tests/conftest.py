@@ -36,3 +36,30 @@ def small_discrete():
 def fast_lrm_kwargs():
     """LowRankMechanism budgets small enough for unit tests."""
     return {"max_outer": 25, "max_inner": 4, "nesterov_iters": 25, "stall_iters": 6}
+
+
+@pytest.fixture
+def legacy_rollback():
+    """Append a ``rollback`` record to a ledger through ``open_store``.
+
+    Earlier versions journaled one (naming transactions to excise from
+    replay) whenever a release failed; current writers never do, but
+    every reader must still honour it. The returned function takes the
+    ledger path and a slice picking which committed transactions, in
+    stream order, to roll back (default: the last one), and returns
+    their txn ids.
+    """
+    from repro.privacy.ledger import open_store
+
+    def append(path, select=slice(-1, None)):
+        store = open_store(path)
+        try:
+            with store.transact():
+                records, _ = store.scan()
+                txns = [r["txn"] for r in records if r.get("op") == "commit"][select]
+                store.append({"op": "rollback", "txns": txns})
+        finally:
+            store.close()
+        return txns
+
+    return append

@@ -477,6 +477,64 @@ class TestLedgerCompatibility:
         assert reopened.spent_epsilon == continued
         reopened.close()
 
+    @pytest.mark.parametrize("model", ["pure", "basic", "rdp"])
+    @pytest.mark.parametrize("suffix", ["journal", "db"])
+    def test_pretyped_fixture_every_reader_agrees(self, model, suffix, tmp_path):
+        fixture = os.path.join(FIXTURES, f"pretyped_{model}.{suffix}")
+        path = tmp_path / os.path.basename(fixture)
+        shutil.copy(fixture, path)
+        total_epsilon, total_delta = FIXTURE_BUDGETS[model]
+        expected = FIXTURE_TOTALS[model]
+        durable = open_ledger(
+            str(path), make_accountant(total_epsilon, total_delta, model=model)
+        )
+        assert (durable.spent_epsilon, durable.spent_delta) == expected
+        durable.close()
+        for report in (
+            ledger_mod.inspect_ledger(str(path)),
+            ledger_mod.recover_ledger(str(path), dry_run=True),
+        ):
+            assert (report["spent_epsilon"], report["spent_delta"]) == expected
+            assert report["dangling_intents"] == []
+        assert ledger_mod.ledger_health(str(path))["ok"] is True
+
+    @pytest.mark.parametrize("suffix", ["journal", "db"])
+    def test_legacy_rollback_record_is_read_by_every_reader(
+        self, suffix, tmp_path, legacy_rollback
+    ):
+        # Earlier versions journaled a rollback record (it carries "txns",
+        # not "txn") whenever a release failed; every reader must excise
+        # the transactions it names.
+        path = str(tmp_path / f"legacy.{suffix}")
+        durable = open_ledger(path, make_accountant(2.0, model="pure"))
+        durable.spend_keyed([((0.1, 0.0), "k1")], lambda positions, _: ["r1"])
+        durable.spend_keyed([((0.2, 0.0), "k2")], lambda positions, _: ["r2"])
+        durable.spend(0.4)
+        durable.close()
+        legacy_rollback(path, slice(1, 2))  # the k2 transaction
+
+        health = ledger_mod.ledger_health(path)
+        assert health["ok"] is True
+        assert health["records"] == 1 + 3 * 2 + 1
+        assert health["dangling_intents"] == 0
+        assert health["keyed_results"] == 1
+        reopened = open_ledger(path, make_accountant(2.0, model="pure"))
+        assert reopened.spent_epsilon == 0.1 + 0.4
+        assert reopened.result_for("k1") == "r1"
+        assert reopened.result_for("k2") is None
+        reopened.close()
+        for report in (
+            ledger_mod.inspect_ledger(path),
+            ledger_mod.recover_ledger(path, dry_run=True),
+        ):
+            assert report["spent_epsilon"] == 0.1 + 0.4
+            assert report["rolled_back"] == 1
+            assert report["keyed_results"] == 1
+        recovered = ledger_mod.recover_ledger(path)
+        assert recovered["spent_epsilon"] == 0.1 + 0.4
+        assert recovered["rolled_back"] == 0
+        assert recovered["records"] == 1 + 2 * 2
+
     def test_new_ledger_journals_typed_costs(self, tmp_path):
         path = tmp_path / "typed.journal"
         durable = open_ledger(str(path), make_accountant(4.0, 1e-5, model="rdp"))

@@ -7,9 +7,9 @@ The load-bearing claims:
   in-memory state (scalar sums and RDP curves compared to the last bit);
 * a spend is all-or-nothing — admission failures and injected write
   faults leave the ledger exactly as it was;
-* ``snapshot``/``restore`` journal durable rollbacks that are never
-  resurrected by a later open, while other handles' interim spends
-  survive;
+* a ``rollback`` record (written by earlier versions, read for
+  compatibility) excises its transactions on every later open, and a
+  ``reset`` is durable;
 * corruption is detected (checksums, sequence gaps), torn tails are
   repaired, lock contention surfaces as ``LedgerBusyError``.
 """
@@ -285,19 +285,21 @@ class TestExactExhaustion:
 
 
 # ---------------------------------------------------------------------- #
-# snapshot / restore (durable rollback)
+# Durable history edits: legacy rollback records and reset
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSnapshotRestore:
-    def test_restore_excises_spend_many_durably(self, tmp_path, backend):
+    def test_restore_excises_spend_many_durably(
+        self, tmp_path, backend, legacy_rollback
+    ):
         path = ledger_path(tmp_path, backend)
         acct = open_ledger(path, fresh_accountant("pure"))
         acct.spend(0.1)
         keep = acct._ledger_state()
-        token = acct.snapshot()
         realized = []
         acct.spend_many([(0.2, 0.0), (0.05, 0.0)], realized_out=realized)
-        acct.restore(token)
+        legacy_rollback(path)
+        acct.sync()
         assert states_equal(acct._ledger_state(), keep)
         acct.close()
         # Rolled-back transactions are excised from replay forever — a
@@ -306,48 +308,6 @@ class TestSnapshotRestore:
         summary = inspect_ledger(path)
         assert summary["rolled_back"] == 1
         assert summary["spent_epsilon"] == 0.1
-
-    def test_interleaved_snapshots_roll_back_to_the_right_marker(self, tmp_path, backend):
-        path = ledger_path(tmp_path, backend)
-        acct = open_ledger(path, fresh_accountant("pure"))
-        acct.spend(0.1)
-        outer = acct.snapshot()
-        acct.spend(0.2)
-        inner = acct.snapshot()
-        acct.spend_many([(0.05, 0.0)])
-        acct.restore(inner)  # drops only the 0.05 batch
-        assert acct.spent_epsilon == 0.1 + 0.2
-        acct.spend(0.025)
-        acct.restore(outer)  # drops 0.2 and 0.025
-        assert acct.spent_epsilon == 0.1
-        acct.close()
-        recovered = open_ledger(path, fresh_accountant("pure"))
-        assert recovered.spent_epsilon == 0.1
-        recovered.close()
-
-    def test_restore_preserves_other_handles_interim_spends(self, tmp_path, backend):
-        path = ledger_path(tmp_path, backend)
-        mine = open_ledger(path, fresh_accountant("pure"))
-        mine.spend(0.1)
-        token = mine.snapshot()
-        mine.spend(0.2)
-        other = open_ledger(path, fresh_accountant("pure"))
-        other.spend(0.05)  # another handle spends between snapshot and restore
-        other.close()
-        mine.restore(token)
-        # My 0.2 is gone; the other handle's 0.05 survives.
-        assert mine.spent_epsilon == 0.1 + 0.05
-        mine.close()
-        summary = inspect_ledger(path)
-        assert summary["spent_epsilon"] == 0.1 + 0.05
-        assert summary["rolled_back"] == 1
-
-    def test_restore_with_foreign_token_raises(self, tmp_path, backend):
-        path = ledger_path(tmp_path, backend)
-        acct = open_ledger(path, fresh_accountant("pure"))
-        with pytest.raises(LedgerError):
-            acct.restore("not a snapshot token")
-        acct.close()
 
     def test_reset_is_durable(self, tmp_path, backend):
         path = ledger_path(tmp_path, backend)
@@ -474,13 +434,12 @@ class TestInspectRecover:
         assert recovered.spent_epsilon == 0.1
         recovered.close()
 
-    def test_recover_flattens_rollbacks(self, tmp_path, backend):
+    def test_recover_flattens_rollbacks(self, tmp_path, backend, legacy_rollback):
         path = ledger_path(tmp_path, backend)
         acct = open_ledger(path, fresh_accountant("pure"))
         acct.spend(0.1)
-        token = acct.snapshot()
         acct.spend(0.2)
-        acct.restore(token)
+        legacy_rollback(path)
         acct.close()
         summary = recover_ledger(path)
         assert summary["rolled_back"] == 0  # excised records are gone

@@ -5,8 +5,8 @@ The load-bearing claims:
 * a warm handle's sync is **O(new records)** — the store-level
   ``scan_new`` resumes from a verified tail cursor instead of re-reading
   the stream — yet the mirrored state stays **bit-identical** to a cold
-  full replay after every operation (spends, batches, rollbacks, resets,
-  cross-handle interleavings);
+  full replay after every operation (spends, batches, legacy rollback
+  records, resets, cross-handle interleavings);
 * the cursor is a hint, never an assumption: compaction or truncation by
   another process fails its verification and forces a full rescan;
 * checkpoint **compaction** (``compact_every``) bounds the stream to the
@@ -129,11 +129,12 @@ class TestScanNew:
         writer.close()
         reader.close()
 
-    def test_rewrite_under_cursor_forces_full_rescan(self, tmp_path, backend):
+    def test_rewrite_under_cursor_forces_full_rescan(
+        self, tmp_path, backend, legacy_rollback
+    ):
         path = ledger_path(tmp_path, backend)
         writer = open_ledger(path, fresh_accountant())
         writer.spend(0.1)
-        snap = writer.snapshot()
         for _ in range(3):
             writer.spend(0.1)
         reader = open_store(path, backend=backend)
@@ -141,7 +142,7 @@ class TestScanNew:
         # The rollback excises the record under the cursor, and the next
         # checkpoint physically rewrites the stream without it: the
         # cursor's verification must fail and force a full rescan.
-        writer.restore(snap)
+        legacy_rollback(path, slice(-3, None))
         compactor = open_ledger(path, fresh_accountant(), compact_every=1)
         compactor.spend(0.05)
         compactor.close()
@@ -189,13 +190,13 @@ class TestBitIdentity:
         assert_matches_cold_replay(acct, path, model)
         acct.close()
 
-    def test_rollback_and_reset(self, tmp_path, backend, model):
+    def test_rollback_and_reset(self, tmp_path, backend, model, legacy_rollback):
         path = ledger_path(tmp_path, backend)
         acct = open_ledger(path, fresh_accountant(model))
         acct.spend(*MODELS[model]["costs"][0])
-        snap = acct.snapshot()
         acct.spend_many(MODELS[model]["costs"])
-        acct.restore(snap)
+        legacy_rollback(path)
+        acct.sync()  # folds the rollback record incrementally
         assert_matches_cold_replay(acct, path, model)
         acct.spend(*MODELS[model]["costs"][1])
         assert_matches_cold_replay(acct, path, model)
@@ -266,18 +267,17 @@ class TestIncrementalNotReplay:
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestCheckpointCompaction:
-    def test_bounds_stream_and_preserves_state(self, tmp_path, backend):
+    def test_bounds_stream_and_preserves_state(
+        self, tmp_path, backend, legacy_rollback
+    ):
         path = ledger_path(tmp_path, backend)
         acct = open_ledger(path, fresh_accountant(), compact_every=6)
-        snap = None
         for i in range(12):
-            if i == 4:
-                snap = acct.snapshot()
             acct.spend(0.05)
             if i == 7:
-                acct.restore(snap)  # journals a rollback record
-        # 12 spends; the snapshot predates spend 4, so the restore rolls
-        # back spends 4-7 -> 8 live transactions. The stream holds at most
+                legacy_rollback(path, slice(-4, None))
+        # 12 spends; the rollback record names spends 4-7 -> 8 live
+        # transactions. The stream holds at most
         # meta + intent/commit per live txn + the records appended since
         # the last checkpoint fired.
         info = inspect_ledger(path)
@@ -472,18 +472,18 @@ class TestJournalTailRead:
         other.close()
 
     def test_foreign_compaction_forces_full_verified_parse(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, legacy_rollback
     ):
         path = ledger_path(tmp_path, "journal")
         other = open_ledger(path, fresh_accountant())
         other.spend(0.1)
-        snap = other.snapshot()
         other.spend(0.2)
         acct = open_ledger(path, fresh_accountant())
         acct.spend(0.05)  # cursor on acct's own commit
-        # The other writer rolls its spend back and a checkpoint rewrites
-        # the stream without it: acct's cursor record moves.
-        other.restore(snap)
+        # A rollback record excises the other writer's second spend and a
+        # checkpoint rewrites the stream without it: acct's cursor record
+        # moves.
+        legacy_rollback(path, slice(1, 2))
         compactor = open_ledger(path, fresh_accountant(), compact_every=1)
         compactor.spend(0.01)
         compactor.close()

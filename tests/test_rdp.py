@@ -241,11 +241,12 @@ class TestRDPAccountant:
     def test_no_rearm_once_realized_reaches_total(self):
         # A ledger whose realized guarantee has reached the total refuses
         # every further cost, however tiny (mirrors the scalar
-        # accountants' exhaustion guard). Saturation is constructed via
-        # restore — discrete spends land *near* the boundary, not on it.
+        # accountants' exhaustion guard). Saturation is set through the
+        # ledger-state hook — discrete spends land *near* the boundary,
+        # not on it.
         accountant = RDPAccountant(0.4, 1e-6)
         saturated_curve = np.full(DEFAULT_ALPHA_GRID.shape, 50.0)
-        accountant.restore((saturated_curve, True))
+        accountant._set_ledger_state((saturated_curve, True))
         assert accountant.remaining_epsilon == 0.0
         for _ in range(3):
             with pytest.raises(PrivacyBudgetError):
@@ -267,27 +268,6 @@ class TestRDPAccountant:
         accountant = RDPAccountant(10.0, 1e-8)
         accountant.spend(0.1, 1e-6)
         assert accountant.spent_delta == 1e-8
-
-    def test_snapshot_restore_roundtrip(self):
-        accountant = RDPAccountant(2.0, 1e-6)
-        accountant.spend(0.2, 1e-8)
-        snap = accountant.snapshot()
-        spent_at_snap = accountant.spent_epsilon
-        accountant.spend(0.2, 1e-8)
-        accountant.spend(0.4)
-        accountant.restore(snap)
-        assert accountant.spent_epsilon == spent_at_snap
-        assert np.array_equal(accountant.rdp_curve, snap[0])
-        # The restored ledger keeps spending normally.
-        accountant.spend(0.2, 1e-8)
-
-    def test_snapshot_is_immune_to_later_spends(self):
-        accountant = RDPAccountant(2.0, 1e-6)
-        accountant.spend(0.2, 1e-8)
-        snap = accountant.snapshot()
-        curve_copy = np.array(snap[0], copy=True)
-        accountant.spend(0.5)
-        assert np.array_equal(snap[0], curve_copy)
 
     def test_reset(self):
         accountant = RDPAccountant(1.0, 1e-6)
