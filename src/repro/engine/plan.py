@@ -19,6 +19,9 @@ required to rebuild it from a serialized archive.
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,14 +51,14 @@ def workload_key(workload):
 def mechanism_state(mechanism):
     """Public (constructor-level) state of a mechanism: every non-underscore
     attribute. Fitted state lives in underscore attributes by convention, so
-    two instances with equal public state fit identically — the comparison
-    behind both the plan cache's same-configuration check and the
-    serialization layer's refit-reproduces gate."""
+    two instances with equal public state fit identically — what an
+    instance spec's plan key digests, and what the serialization layer's
+    refit-reproduces gate compares."""
     return {key: value for key, value in vars(mechanism).items() if not key.startswith("_")}
 
 
-#: Sentinel distinguishing "attribute absent" from any real value when
-#: comparing privacy states (absent == absent, absent != anything else).
+#: Sentinel distinguishing "attribute absent" from any real value in a
+#: privacy state (absent == absent, absent != anything else).
 _MISSING = object()
 
 
@@ -67,9 +70,9 @@ def privacy_state(mechanism):
     Gaussian ``delta``) — the parameters that scale noise independently of
     the fitted strategy. Two same-class mechanisms with equal privacy state
     release equally-calibrated noise even when their solver tuning (and
-    hence their fit) differs, which is what lets the plan cache share
-    expensive fits across differently-tuned engines while refusing to serve
-    a plan calibrated for another privacy configuration.
+    hence their fit) differs, which is why label and auto plan keys digest
+    this state and nothing more: differently-tuned engines share one fit,
+    differently-calibrated ones never do.
     """
     return {
         name: getattr(mechanism, name, _MISSING)
@@ -78,69 +81,108 @@ def privacy_state(mechanism):
 
 
 def mechanism_states_equal(state_a, state_b):
-    """Compare two :func:`mechanism_state` dicts, array-aware.
+    """Compare two :func:`mechanism_state` dicts by their canonical forms
+    (arrays by content, numbers as floats, nested mechanisms recursed)."""
+    return _canonical(state_a, mechanism_state) == _canonical(state_b, mechanism_state)
 
-    Plain dict equality raises on ndarray-valued attributes (e.g. a
-    strategy matrix), which would wrongly read as a configuration mismatch;
-    arrays compare by content instead."""
+
+#: What an auto-pool label contributes to the privacy digest when the
+#: engine's configuration cannot build it (its fit would fail the same way).
+_UNBUILDABLE = "<unbuildable>"
+
+
+def _canonical(value, state):
+    """JSON-ready canonical form of a constructor-state value.
+
+    Numbers become floats (``1 == 1.0``), arrays their dtype, shape and
+    content digest, nested mechanisms their class plus ``state(nested)``.
+    Anything else falls back to its type and ``repr``, so an unknown value
+    can only split keys, never merge two configurations."""
     import numpy as np
 
-    if state_a.keys() != state_b.keys():
-        return False
-    for key, value_a in state_a.items():
-        value_b = state_b[key]
-        if isinstance(value_a, np.ndarray) or isinstance(value_b, np.ndarray):
-            if not np.array_equal(value_a, value_b):
-                return False
-        elif value_a != value_b:
-            return False
-    return True
+    if isinstance(value, Mechanism):
+        return [type(value).__name__, _canonical(state(value), state)]
+    if isinstance(value, np.ndarray):
+        content = hashlib.sha1(np.ascontiguousarray(value).tobytes()).hexdigest()
+        return ["ndarray", str(value.dtype), list(value.shape), content]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, numbers.Real):
+        return float(value)
+    if isinstance(value, dict):
+        return [[str(key), _canonical(item, state)] for key, item in sorted(
+            value.items(), key=lambda pair: str(pair[0]))]
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item, state) for item in value]
+    if value is _MISSING:
+        return "<missing>"
+    return f"{type(value).__qualname__}:{value!r}"
 
 
-def mechanism_spec(mechanism, candidates=DEFAULT_CANDIDATES):
+def _privacy_digest(states):
+    """Fixed-width (12 hex) digest of the canonical states."""
+    payload = json.dumps(states, separators=(",", ":"))
+    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def mechanism_spec(mechanism, candidates=DEFAULT_CANDIDATES, mechanism_kwargs=None):
     """Normalize a ``mechanism=`` argument into a stable cache-key component.
 
-    ``"auto"`` embeds the candidate set (different candidate pools are
-    different plans); a registry label normalizes to upper case; a mechanism
-    *instance* is keyed by its class name — deliberately independent of the
-    instance's fitted/unfitted ``repr`` so the same object maps to the same
-    key before and after fitting. (The engine additionally compares
-    constructor state on a cache hit, so a differently-configured instance
-    of the same class gets a fresh one-off plan rather than another
-    configuration's noise calibration.)
+    The spec reads ``"<mechanism>|<digest>"``. ``<mechanism>`` is
+    ``auto[...]`` with the candidate set embedded (different pools are
+    different plans), an upper-cased registry label, or, for a mechanism
+    *instance*, ``instance:<class name>`` — independent of the instance's
+    fitted/unfitted ``repr``, so the same object maps to the same key
+    before and after fitting.
 
-    Mechanism configuration (constructor parameters, ``mechanism_kwargs``)
-    is deliberately *not* part of the key: a plan is a shareable fit
-    artifact for (workload, mechanism), and whoever plans a key first wins —
-    that is what lets a restarted or differently-tuned engine reuse an
-    expensive on-disk fit instead of redoing it. This is safe because the
-    engine guards every cache hit: a cached plan is only served when its
-    *privacy-critical* constructor state (:func:`privacy_state` — e.g.
-    ``unit_sensitivity``, ``delta``) matches what the serving engine would
-    build; on a mismatch the engine builds a one-off plan instead, so
-    solver-tuning differences share the fit but a plan calibrated for
-    another privacy configuration is never released. When
-    differently-configured plans must coexist as cached artifacts, give
-    them separate :class:`PlanCache` instances or directories, or plan with
-    ``use_cache=False``.
+    ``<digest>`` is a 12-hex-digit digest of the privacy configuration
+    that calibrates the plan's noise. For a label it covers
+    :func:`privacy_state` of ``make_mechanism(label,
+    **mechanism_kwargs[label])``; for ``auto`` the same for every pool
+    entry (label candidates as constructed, a label that cannot be built as
+    a fixed marker, instance candidates as given); for an instance its
+    full :func:`mechanism_state`, arrays by content and nested mechanisms
+    recursed into. A cached plan is therefore shared exactly between
+    engines whose noise calibration is the same: solver tuning (e.g.
+    LRM's iteration caps) is not in the digest, so differently-tuned
+    engines still share one expensive fit, while a different
+    ``unit_sensitivity`` or ``delta`` is a different key and never hits
+    another configuration's plan. ``epsilon_hint`` is not part of the key.
     """
+    mechanism_kwargs = mechanism_kwargs or {}
+
+    def configured(label):
+        return privacy_state(make_mechanism(label, **mechanism_kwargs.get(label, {})))
+
     if isinstance(mechanism, Mechanism):
-        return f"instance:{type(mechanism).__name__}"
-    spec = str(mechanism).strip().upper()
-    if spec == "AUTO":
-        labels = []
+        base = f"instance:{type(mechanism).__name__}"
+        states = _canonical(mechanism, mechanism_state)
+    elif str(mechanism).strip().upper() == "AUTO":
+        labels, states = [], []
         for candidate in candidates:
-            if isinstance(candidate, str):
-                labels.append(candidate.strip().upper())
-            else:
+            if isinstance(candidate, Mechanism):
                 labels.append(type(candidate).__name__)
-        return "auto[" + ",".join(labels) + "]"
-    return spec
+                states.append(_canonical(candidate, privacy_state))
+                continue
+            label = str(candidate).strip().upper()
+            labels.append(label)
+            try:
+                states.append(_canonical(configured(label), privacy_state))
+            except (ReproError, TypeError, ValueError):
+                states.append(_UNBUILDABLE)
+        base = "auto[" + ",".join(labels) + "]"
+    else:
+        base = str(mechanism).strip().upper()
+        states = _canonical(configured(base), privacy_state)
+    return f"{base}|{_privacy_digest(states)}"
 
 
-def plan_key(workload, mechanism, candidates=DEFAULT_CANDIDATES):
-    """Cache key of the plan for ``workload`` under a mechanism spec."""
-    return f"{workload_key(workload)}|{mechanism_spec(mechanism, candidates)}"
+def plan_key(workload, mechanism, candidates=DEFAULT_CANDIDATES, mechanism_kwargs=None):
+    """Cache key of the plan for ``workload`` under a mechanism spec:
+    ``"mxn:sha1|<mechanism>|<privacy digest>"`` (see :func:`mechanism_spec`)."""
+    return f"{workload_key(workload)}|{mechanism_spec(mechanism, candidates, mechanism_kwargs)}"
 
 
 @dataclass
@@ -201,7 +243,8 @@ class ExecutionPlan:
         Registry label (or class name) of the chosen mechanism.
     mechanism_spec:
         Normalized form of the ``mechanism=`` argument the plan was built
-        with (part of the cache key).
+        with, plus the digest of its privacy configuration (see
+        :func:`mechanism_spec`; part of the cache key).
     workload_key:
         ``"mxn:sha1"`` identity of the planned workload.
     epsilon_hint:
@@ -252,7 +295,8 @@ class ExecutionPlan:
 
     @property
     def plan_key(self):
-        """Cache identity: workload key + mechanism spec."""
+        """Cache identity: workload key + mechanism spec (which carries the
+        privacy digest)."""
         return f"{self.workload_key}|{self.mechanism_spec}"
 
     @property
@@ -476,7 +520,7 @@ def build_plan(
     workload = as_workload(workload)
     epsilon_hint = check_positive(epsilon_hint, "epsilon_hint")
     mechanism_kwargs = dict(mechanism_kwargs or {})
-    spec = mechanism_spec(mechanism, candidates)
+    spec = mechanism_spec(mechanism, candidates, mechanism_kwargs)
     key = workload_key(workload)
 
     if spec.startswith("auto["):
@@ -513,7 +557,7 @@ def build_plan(
         label = getattr(mechanism, "name", type(mechanism).__name__)
         fitted = copy.deepcopy(mechanism)
     else:
-        label = spec
+        label = str(mechanism).strip().upper()
         fitted = make_mechanism(label, **mechanism_kwargs.get(label, {}))
     candidate = _fit_single(fitted, label, workload, epsilon_hint)
     return ExecutionPlan(

@@ -13,9 +13,14 @@ natural cache unit. :class:`PlanCache` is a two-tier store:
   archive whose matrix does not hash back to the key it was stored under is
   rejected.
 
-Keys are the :func:`repro.engine.plan.plan_key` strings (workload digest +
-mechanism spec); file names are the SHA-1 of the key, so arbitrary
-candidate-set specs stay filesystem-safe.
+Keys are the :func:`repro.engine.plan.plan_key` strings: workload digest,
+mechanism spec and a digest of the privacy configuration that calibrates
+the plan's noise. The key alone decides what may be shared — engines whose
+``unit_sensitivity``/``delta`` differ get different keys, engines that
+differ only in solver tuning share one fit — so a hit is always servable.
+The spec travels inside every archive and is checked against the key on
+load. File names are the SHA-1 of the key, so arbitrary candidate-set
+specs stay filesystem-safe.
 
 Plans whose mechanism cannot be serialized (custom mechanism instances
 outside the registry) degrade gracefully to memory-only entries.
@@ -195,8 +200,8 @@ class PlanCache:
                 )
             except PlanFormatError:
                 # Unreadable-but-benign format: an archive from an older
-                # library version, or a *newer* one (e.g. a version-4 spec
-                # archive written by a release whose mechanism class this
+                # library version, or a *newer* one (e.g. a spec archive
+                # written by a release whose mechanism class this
                 # environment cannot import). A miss — the subsequent
                 # put() overwrites it.
                 self.misses += 1

@@ -48,21 +48,12 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.postprocess import postprocess_answers
-from repro.engine.plan import (
-    ExecutionPlan,
-    build_plan,
-    mechanism_state,
-    mechanism_states_equal,
-    plan_key,
-    privacy_state,
-    workload_key,
-)
+from repro.engine.plan import ExecutionPlan, build_plan, plan_key
 from repro.engine.plan_cache import PlanCache
 from repro.engine.selection import APPROX_DP_CANDIDATES, DEFAULT_CANDIDATES
 from repro.exceptions import ReproError, ValidationError
 from repro.linalg.validation import as_vector, check_positive, ensure_rng
-from repro.mechanisms.base import Mechanism, as_workload
-from repro.mechanisms.registry import make_mechanism
+from repro.mechanisms.base import as_workload
 from repro.privacy.accountant import BudgetAccountant, make_accountant
 
 __all__ = ["PrivateQueryEngine", "Release"]
@@ -234,12 +225,6 @@ class PrivateQueryEngine:
             self.plan_cache = plan_cache
         else:
             self.plan_cache = PlanCache(directory=plan_cache)
-        # One-off plans built when a shared-cache entry mismatched this
-        # engine's privacy configuration (the entry keeps the key; these
-        # stay engine-local, one list per key with one plan per distinct
-        # configuration, so the expensive fit is paid once per
-        # configuration rather than once per call).
-        self._local_plans = {}
         self._releases = []
 
     # ------------------------------------------------------------------ #
@@ -380,12 +365,6 @@ class PrivateQueryEngine:
     # ------------------------------------------------------------------ #
     # Planning
     # ------------------------------------------------------------------ #
-    def _workload_key(self, workload):
-        """Stable cross-process workload identity (see
-        :func:`repro.engine.plan.workload_key`); kept as a method for
-        audit-log consumers and backwards compatibility."""
-        return workload_key(workload)
-
     def _check_domain(self, domain_size):
         if domain_size != self.domain_size:
             raise ValidationError(
@@ -404,49 +383,25 @@ class PrivateQueryEngine:
         way either way.
 
         Consumes no privacy budget (planning is data-independent). The plan
-        is cached under ``(workload digest, mechanism spec)`` — mechanism
-        *instances* are keyed by class name, independent of their
-        fitted/unfitted state, and are deep-copied before fitting so the
-        caller's object is never mutated. Neither ``epsilon_hint`` nor
-        ``mechanism_kwargs`` is part of the key: the first plan built for a
-        key wins (that is what lets a restarted engine reuse an expensive
-        on-disk fit). Every cache hit is guarded, though: a cached plan is
-        served only when its mechanism configuration is compatible with
-        this engine's — full constructor state for instance specs,
-        privacy-critical state (``unit_sensitivity``, ``delta``; see
-        :func:`repro.engine.plan.privacy_state`) for label/auto specs — and
-        on a mismatch a one-off plan (memoized per engine, so the fit is
-        still paid only once) is built instead, so a shared cache can
-        never serve noise calibrated for another engine's privacy
-        configuration. Pass ``use_cache=False``, or use a separate
-        ``plan_cache``, to force a replan under different settings.
+        is cached under :func:`repro.engine.plan.plan_key`: the workload
+        digest, the mechanism spec and a digest of the privacy
+        configuration this engine would build for it (``unit_sensitivity``,
+        ``delta``, ...; the full constructor state of a mechanism
+        *instance*, which is deep-copied before fitting so the caller's
+        object is never mutated). A cached plan is therefore served only to
+        an engine whose noise calibration it matches, while solver tuning
+        and ``epsilon_hint`` stay out of the key: differently-tuned or
+        restarted engines reuse one expensive (on-disk) fit. Pass
+        ``use_cache=False`` to force a replan.
         """
         workload = as_workload(workload)
         self._check_domain(workload.domain_size)
         epsilon_hint = check_positive(epsilon_hint, "epsilon_hint")
-        key = plan_key(workload, mechanism, self.candidates)
-        store = use_cache
+        key = plan_key(workload, mechanism, self.candidates, self.mechanism_kwargs)
         if use_cache:
             cached = self.plan_cache.get(key)
             if cached is not None:
-                if self._compatible_with_cache_hit(mechanism, cached):
-                    return cached
-                # Same key, different privacy-relevant configuration:
-                # serving the cached plan would release with noise
-                # calibrated for the *other* configuration. Use (or build)
-                # an engine-local one-off plan instead and leave the shared
-                # entry alone (first plan wins the key); the local memo is
-                # re-guarded like any hit, so the expensive fit is paid
-                # once per configuration, not once per call.
-                store = False
-            for local in self._local_plans.get(key, ()):
-                if self._compatible_with_cache_hit(mechanism, local):
-                    if store:
-                        # The shared entry that forced this one-off is gone
-                        # (evicted/cleared): promote the memoized fit to
-                        # the now-free key instead of refitting.
-                        self.plan_cache.put(key, local)
-                    return local
+                return cached
         plan = build_plan(
             workload,
             epsilon_hint=epsilon_hint,
@@ -455,72 +410,9 @@ class PrivateQueryEngine:
             mechanism_kwargs=self.mechanism_kwargs,
             parallel=parallel,
         )
-        if store:
+        if use_cache:
             self.plan_cache.put(key, plan)
-        elif use_cache:
-            self._local_plans.setdefault(key, []).append(plan)
         return plan
-
-    def _compatible_with_cache_hit(self, mechanism, cached):
-        """May the cached plan stand in for what this engine would build?
-
-        Instance specs must match the requested instance's full constructor
-        state (the caller configured that exact object). Label/auto specs
-        compare only the *privacy-critical* constructor parameters
-        (``Mechanism.privacy_params``) of the cached mechanism against the
-        mechanism(s) this engine's configuration would construct for the
-        same label — for an auto spec that is every same-labelled entry of
-        the candidate pool (instance candidates count as their own
-        configuration), since any of them could legitimately have won the
-        ranking. Solver tuning may differ — sharing another engine's
-        expensive fit is the cache's purpose, and such noise is calibrated
-        to the fitted strategy — but a plan calibrated for a
-        ``unit_sensitivity`` or ``delta`` this engine would not configure
-        must never be served. Anything uncomparable (unknown label,
-        constructor failure) counts as a mismatch, so the guard fails safe
-        to a one-off replan.
-        """
-        if isinstance(mechanism, Mechanism):
-            return self._same_configuration(mechanism, cached.mechanism)
-        label = cached.mechanism_label
-        try:
-            if cached.mechanism_spec.startswith("auto["):
-                references = self._auto_references(label)
-            else:
-                references = [make_mechanism(label, **self.mechanism_kwargs.get(label, {}))]
-            cached_state = privacy_state(cached.mechanism)
-            return any(
-                mechanism_states_equal(privacy_state(reference), cached_state)
-                for reference in references
-            )
-        except Exception:
-            return False
-
-    def _auto_references(self, label):
-        """Every mechanism configuration the engine's auto pool could build
-        under ``label``: each same-named *instance* candidate as-is, plus
-        the registry construction when the pool names the label (or as the
-        fallback when nothing in the pool matches)."""
-        references = []
-        saw_label = False
-        for candidate in self.candidates:
-            if isinstance(candidate, Mechanism):
-                if getattr(candidate, "name", type(candidate).__name__) == label:
-                    references.append(candidate)
-            elif str(candidate).strip().upper() == label:
-                saw_label = True
-        if saw_label or not references:
-            references.append(make_mechanism(label, **self.mechanism_kwargs.get(label, {})))
-        return references
-
-    @staticmethod
-    def _same_configuration(requested, cached):
-        """True iff the requested instance's constructor state matches the
-        cached plan's mechanism (uncomparable state counts as a mismatch)."""
-        try:
-            return mechanism_states_equal(mechanism_state(requested), mechanism_state(cached))
-        except Exception:
-            return False
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -67,13 +67,12 @@ _FITTED_LRM_FORMAT_VERSION = 3
 # Plan version 4 = version 3 plus an optional ``mechanism_archive`` member:
 # mechanisms the registry cannot rebuild (wrappers like SubsampledMechanism,
 # arbitrary custom classes) persist through the Mechanism.to_spec/from_spec
-# protocol instead. Only archives that actually need it are written as
-# version 4, so registry/low-rank plans stay readable by older releases;
-# an older reader hitting a version-4 archive gets PlanFormatError — a
-# graceful plan-cache miss, not an integrity failure.
+# protocol instead. Every plan archive is written as version 4; versions 2
+# and 3 stay readable because serving plan directories hold archives
+# written earlier. An older reader hitting a version-4 archive gets
+# PlanFormatError — a graceful plan-cache miss, not an integrity failure.
 _PLAN_FORMAT_VERSIONS = (2, 3, 4)
-_PLAN_FORMAT_VERSION = 3
-_PLAN_SPEC_FORMAT_VERSION = 4
+_PLAN_FORMAT_VERSION = 4
 
 
 def _atomic_savez(path, **arrays):
@@ -410,10 +409,13 @@ def save_plan(plan, path):
     that implement the :meth:`repro.mechanisms.base.Mechanism.to_spec`
     protocol (wrappers like
     :class:`repro.mechanisms.subsampled.SubsampledMechanism`, custom
-    classes) are written as version-4 archives carrying their spec and are
+    classes) carry their spec in a ``mechanism_archive`` member and are
     rebuilt + refit on load. A plan fitting none of these paths raises
     :class:`ValidationError` instead of silently restoring with
-    differently-calibrated noise.
+    differently-calibrated noise. Every archive is written as format
+    version 4; :func:`load_plan` also reads versions 2 and 3. The plan's
+    ``mechanism_spec`` (with its privacy digest) is stored as is, so a
+    reloaded plan answers to the same :attr:`plan_key`.
     """
     from repro.core.lrm import LowRankMechanism
     from repro.engine.plan import ExecutionPlan
@@ -474,9 +476,9 @@ def save_plan(plan, path):
     else:
         # Mirror load_plan's reconstruction (stored delta folded in) and
         # persist via registry refit when the kwargs provably reproduce
-        # this mechanism. Otherwise fall back to the spec protocol
-        # (version 4): wrappers and custom classes whose constructor state
-        # is not plain JSON kwargs archive their to_spec() instead.
+        # this mechanism. Otherwise fall back to the spec protocol:
+        # wrappers and custom classes whose constructor state is not plain
+        # JSON kwargs archive their to_spec() instead.
         effective_kwargs = dict(plan.fit_kwargs)
         if requires_delta:
             effective_kwargs.setdefault("delta", mechanism.delta)
@@ -496,7 +498,6 @@ def save_plan(plan, path):
                     "and it does not implement the to_spec/from_spec protocol "
                     "(low-rank mechanisms persist their decomposition instead)"
                 )
-            metadata["plan_format_version"] = _PLAN_SPEC_FORMAT_VERSION
             metadata["mechanism_archive"] = spec_payload
             # The spec supersedes the kwargs, which may not be
             # JSON-serializable (e.g. a wrapped mechanism instance).
@@ -592,7 +593,7 @@ def plan_from_payload(metadata, arrays):
         mechanism._workload = workload
         mechanism._decomposition = _restore_decomposition(b, l, details)
     elif metadata.get("mechanism_archive") is not None:
-        # Version-4 spec archive: rebuild through the spec protocol, then
+        # Spec archive: rebuild through the spec protocol, then
         # refit deterministically against the verified workload.
         mechanism = _mechanism_from_spec_payload(metadata["mechanism_archive"])
         mechanism.fit(workload)

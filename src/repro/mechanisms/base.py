@@ -68,11 +68,11 @@ class Mechanism(abc.ABC):
     #: of a release independently of the fitted state — e.g. an assumed
     #: ``unit_sensitivity`` or a Gaussian ``delta``. Solver/tuning knobs do
     #: NOT belong here (their noise is calibrated to whatever strategy they
-    #: produce, so any fit is a valid release). The engine's plan cache
-    #: refuses to serve a cached plan whose privacy parameters differ from
-    #: the serving engine's configuration; subclasses adding such a
-    #: parameter MUST declare it or differently-configured engines sharing
-    #: a cache can silently release under-noised answers.
+    #: produce, so any fit is a valid release). These parameters are part
+    #: of the plan cache key (:func:`repro.engine.plan.mechanism_spec`), so
+    #: engines configured differently never share a cached plan; subclasses
+    #: adding such a parameter MUST declare it or differently-configured
+    #: engines sharing a cache can silently release under-noised answers.
     privacy_params = ()
 
     def __init__(self):

@@ -58,7 +58,9 @@ class SubsampledMechanism(Mechanism):
 
     name = "SUB"
     requires_delta = True
-    privacy_params = ("sample_rate", "delta")
+    #: ``inner`` contributes its own privacy state (e.g. a GLM inner's
+    #: ``unit_sensitivity``) to the plan key.
+    privacy_params = ("sample_rate", "delta", "inner")
 
     def __init__(self, inner="GNOR", sample_rate=0.1, **inner_kwargs):
         super().__init__()

@@ -1044,6 +1044,9 @@ class DurableAccountant(BudgetAccountant):
                 raise LedgerError("compact_every must be a positive record count")
         self._compact_every = compact_every
         self._fold = None
+        # Fold lock-free first: the read sets the tail cursor, so the
+        # transaction's repair and sync decode only what came after it.
+        self._sync_records()
         with self._store.transact():
             self._sync_records()
             if self._fold.meta is None:

@@ -4,6 +4,7 @@ plan-then-execute cases; plan-API coverage lives in ``test_plan.py``)."""
 import numpy as np
 import pytest
 
+from repro.engine.plan import workload_key
 from repro.engine.query_engine import PrivateQueryEngine, Release
 from repro.engine.selection import (
     DEFAULT_CANDIDATES,
@@ -105,19 +106,20 @@ class TestPrivateQueryEngine:
     def test_workload_key_stable_and_digest_based(self):
         engine = self._engine()
         wl = wrange(6, 64, seed=0)
-        key = engine._workload_key(wl)
+        key = workload_key(wl)
         # Shape prefix + the workload's memoized sha1 digest: deterministic
         # across engines and processes (the builtin hash is salted per run).
         assert key == f"6x64:{wl.content_digest}"
-        assert engine._workload_key(wl) == key
-        other = PrivateQueryEngine(np.arange(64.0), total_budget=1.0, seed=9)
-        assert other._workload_key(wrange(6, 64, seed=0)) == key
+        assert workload_key(wl) == key
+        assert workload_key(wrange(6, 64, seed=0)) == key
+        # The engine stamps the same identity on its plans.
+        assert engine.plan(wl, mechanism="LM").workload_key == key
 
     def test_release_workload_key_matches_prepare_cache(self):
         engine = self._engine()
         wl = wrange(6, 64, seed=0)
         release = answer(engine, wl, epsilon=0.25, mechanism="LM")
-        assert release.workload_key == engine._workload_key(wl)
+        assert release.workload_key == workload_key(wl)
 
     def test_auto_selection_on_low_rank(self):
         engine = self._engine()

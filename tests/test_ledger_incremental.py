@@ -446,6 +446,33 @@ class TestTransactionAgeIndependence:
         assert old.bytes_read - young.bytes_read == len(old.reads) * widening
 
 
+class TestOpenDecodesOnce:
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_open_decodes_each_record_once(self, tmp_path, monkeypatch, torn):
+        path = ledger_path(tmp_path, "journal")
+        writer = open_ledger(path, fresh_accountant())
+        for index in range(50):
+            writer.spend_keyed([((0.001, 0.0), f"k{index}")], produce)
+        writer.close()
+        if torn:
+            # A writer died halfway through its next record.
+            with open(path, "ab") as fh:
+                fh.write(b'{"costs":[[0.3,0.0]],"crc":"0123')
+        records, _ = open_store(path).scan()
+        assert len(records) == 101
+        with monkeypatch.context() as patch:
+            counter = ReadCounter(patch)
+            acct = open_ledger(path, fresh_accountant())
+        # One whole-file read that verifies every checksum, then the
+        # transaction's tail reads from the cursor.
+        assert counter.decodes == len(records)
+        assert [offset == 0 for offset, _ in counter.reads] == [True, False, False]
+        assert acct.spent_epsilon == pytest.approx(0.05)
+        assert open_store(path).scan() == (records, 0)
+        assert_matches_cold_replay(acct, path)
+        acct.close()
+
+
 class TestJournalTailRead:
     def test_foreign_torn_tail_is_truncated_and_seq_continues(
         self, tmp_path, monkeypatch

@@ -2,6 +2,8 @@
 routing, and the budget-accounting edge cases of the executor."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,12 +106,21 @@ class TestPlanning:
         assert engine.plan(wl, mechanism=NoiseOnDataMechanism()) is default_plan
 
     def test_plan_key_spec_components(self):
+        # Layout: workload prefix | mechanism spec | 12-hex privacy digest.
         wl = wrange(6, 64, seed=0)
-        assert plan_key(wl, "lm").endswith("|LM")
-        assert plan_key(wl, NoiseOnDataMechanism()).endswith("|instance:NoiseOnDataMechanism")
+        prefix = re.escape(f"6x64:{wl.content_digest}|")
+        digest = r"\|[0-9a-f]{12}"
+        assert re.fullmatch(prefix + "LM" + digest, plan_key(wl, "lm"))
+        assert re.fullmatch(
+            prefix + "instance:NoiseOnDataMechanism" + digest,
+            plan_key(wl, NoiseOnDataMechanism()),
+        )
         auto = plan_key(wl, "auto", candidates=("LM", "WM"))
-        assert auto.endswith("|auto[LM,WM]")
-        assert auto.startswith(f"6x64:{wl.content_digest}|")
+        assert re.fullmatch(prefix + re.escape("auto[LM,WM]") + digest, auto)
+        # Case-insensitive labels share the key; the plan carries it.
+        assert plan_key(wl, "lm") == plan_key(wl, "LM")
+        assert build_plan(wl, mechanism="lm").plan_key == plan_key(wl, "LM")
+        assert build_plan(wl, mechanism="auto", candidates=("LM", "WM")).plan_key == auto
 
     def test_prepare_returns_cached_plan_mechanism(self):
         engine = _engine()
@@ -539,9 +550,9 @@ class TestPlanSerialization:
 
     def test_lrm_instance_plan_roundtrips_constructor_state(self, tmp_path):
         # The restored LowRankMechanism must carry the instance's solver
-        # configuration, not defaults — otherwise the engine's
-        # same-configuration guard would refit on every restart (and a
-        # default-instance caller would be served the wrong decomposition).
+        # configuration, not defaults — the instance spec's privacy digest
+        # covers that state, so a restored plan must still match it (and a
+        # default-instance caller must not be served this decomposition).
         from repro.core.lrm import LowRankMechanism
 
         custom = LowRankMechanism(gamma=0.5, **FAST_LRM["LRM"])
@@ -713,8 +724,8 @@ class TestPlanCache:
 
     def test_array_attr_instance_cache_reuse(self):
         # Constructor state with ndarray values (a strategy matrix) must
-        # compare by content, not identity — else every plan() call
-        # discards a valid cache hit and refits a one-off plan.
+        # key by content, not identity — else every plan() call misses
+        # the cache and refits.
         from repro.mechanisms.strategy import StrategyMechanism
 
         engine = _engine()
@@ -981,7 +992,9 @@ class TestPlanCacheStaleness:
 class TestCacheHitPrivacyGuard:
     """A shared PlanCache must never serve a plan calibrated for another
     engine's privacy configuration (regression for the label/auto cache-hit
-    paths, which used to skip the configuration check instance specs get)."""
+    paths, which used to skip the configuration check instance specs get).
+    The privacy digest in the plan key enforces this: differently
+    configured engines look up different keys."""
 
     def test_label_hit_with_other_unit_sensitivity_replans(self):
         # An engine declaring unit_sensitivity=2.0 sharing a cache with a
@@ -1000,8 +1013,9 @@ class TestCacheHitPrivacyGuard:
         replanned = sensitive_engine.plan(wl, mechanism="LM")
         assert replanned is not baseline
         assert replanned.mechanism.unit_sensitivity == 2.0
-        # First plan keeps the key; the default engine still gets its own
-        # calibration, and each engine keeps getting the right one.
+        # Each configuration owns its own key: the default engine still
+        # gets its own calibration, and each engine keeps getting the
+        # right one.
         assert default_engine.plan(wl, mechanism="LM") is baseline
         assert sensitive_engine.plan(wl, mechanism="LM").mechanism.unit_sensitivity == 2.0
 
@@ -1049,7 +1063,7 @@ class TestCacheHitPrivacyGuard:
         assert reader.plan(wl, mechanism="GLM").mechanism.delta == 1e-7
 
     def test_solver_tuning_difference_still_shares_the_fit(self, tmp_path):
-        # The guard compares privacy-critical state only: LRM solver knobs
+        # The key digests privacy-critical state only: LRM solver knobs
         # change the fit, not the calibration (noise is scaled to the
         # decomposition actually held), so the expensive fit stays shared.
         data = np.arange(64.0)
@@ -1069,9 +1083,9 @@ class TestCacheHitPrivacyGuard:
         )
 
     def test_mismatch_one_off_plan_is_memoized_per_engine(self):
-        # A mismatched engine must not refit on every plan() call: the
-        # one-off plan is kept engine-local (the shared entry still owns
-        # the key) and re-served while the configuration still matches.
+        # A differently configured engine must not refit on every plan()
+        # call: its plan is cached under its own key and re-served, and
+        # the default engine keeps its own.
         cache = PlanCache()
         wl = wrange(6, 64, seed=0)
         default_engine = _engine(plan_cache=cache)
@@ -1106,29 +1120,13 @@ class TestCacheHitPrivacyGuard:
         first = engine.plan(wl)
         assert engine.plan(wl) is first
 
-    def test_memoized_one_off_survives_shared_cache_eviction(self):
-        # If the shared entry that forced the one-off is later evicted,
-        # the engine promotes its memoized fit to the free key instead of
-        # refitting from scratch.
-        cache = PlanCache()
-        wl = wrange(6, 64, seed=0)
-        _engine(plan_cache=cache).plan(wl, mechanism="LM")
-        tuned = _engine(
-            plan_cache=cache,
-            mechanism_kwargs={**FAST_LRM, "LM": {"unit_sensitivity": 2.0}},
-        )
-        one_off = tuned.plan(wl, mechanism="LM")
-        cache.clear()
-        assert tuned.plan(wl, mechanism="LM") is one_off
-        assert cache.get(plan_key(wl, "LM")) is one_off
-
     def test_alternating_mismatched_instances_each_memoized(self):
-        # Two instance configurations that both mismatch the shared entry
-        # (same cache key) must each keep their own one-off plan — the fit
-        # is paid once per configuration, not once per call.
+        # Two instance configurations that both differ from the first
+        # must each keep their own plan — the fit is paid once per
+        # configuration, not once per call.
         engine = _engine()
         wl = wrange(6, 64, seed=0)
-        engine.plan(wl, mechanism=NoiseOnDataMechanism())  # owns the key
+        engine.plan(wl, mechanism=NoiseOnDataMechanism())
         two = engine.plan(wl, mechanism=NoiseOnDataMechanism(unit_sensitivity=2.0))
         three = engine.plan(wl, mechanism=NoiseOnDataMechanism(unit_sensitivity=3.0))
         assert engine.plan(wl, mechanism=NoiseOnDataMechanism(unit_sensitivity=2.0)) is two
@@ -1142,6 +1140,165 @@ class TestCacheHitPrivacyGuard:
         engine.plan(wl, mechanism="LM")
         with pytest.raises(ValidationError):
             engine.plan(wl, mechanism="LM", epsilon_hint=-1.0)
+
+
+#: Every registry label whose mechanism declares ``privacy_params``, with
+#: one privacy parameter to change: (label, mechanism_kwargs for it).
+PRIVACY_CHANGES = [
+    ("LM", {"unit_sensitivity": 2.0}),
+    ("NOD", {"unit_sensitivity": 2.0}),
+    ("GLM", {"delta": 1e-5}),
+    ("GLM", {"unit_sensitivity": 2.0}),
+    ("GNOR", {"delta": 1e-5}),
+    ("DGNOR", {"delta": 1e-5}),
+    ("SUB", {"sample_rate": 0.2}),
+    ("SUB", {"delta": 1e-5}),
+    ("SUB", {"inner": "GLM", "unit_sensitivity": 2.0}),
+    ("GLRM", {"delta": 1e-5}),
+]
+
+
+class TestPlanKeyPrivacyDigest:
+    """The privacy configuration is part of the plan key, so the cache
+    lookup alone decides which engines may share a plan."""
+
+    def test_parametrization_covers_every_privacy_declaring_label(self):
+        from repro.mechanisms.registry import make_mechanism, mechanism_names
+
+        declaring = {
+            label for label in mechanism_names() if make_mechanism(label).privacy_params
+        }
+        assert declaring == {label for label, _ in PRIVACY_CHANGES}
+
+    @pytest.mark.parametrize(
+        "label,change", PRIVACY_CHANGES,
+        ids=[f"{label}-{'-'.join(change)}" for label, change in PRIVACY_CHANGES],
+    )
+    def test_privacy_parameter_changes_the_key(self, label, change):
+        wl = wrange(6, 64, seed=0)
+        default = plan_key(wl, label)
+        changed = plan_key(wl, label, mechanism_kwargs={label: change})
+        assert changed != default
+        # Same layout, same prefix: only the digest moved.
+        assert changed.rsplit("|", 1)[0] == default.rsplit("|", 1)[0]
+        auto = plan_key(wl, "auto", candidates=(label,))
+        assert plan_key(wl, "auto", candidates=(label,),
+                        mechanism_kwargs={label: change}) != auto
+
+    @pytest.mark.parametrize("label,tuning", [
+        ("LRM", FAST_LRM["LRM"]),
+        ("GLRM", FAST_LRM["LRM"]),
+        ("MM", {"max_iters": 5}),
+    ])
+    def test_solver_tuning_keeps_the_key(self, label, tuning):
+        wl = wrange(6, 64, seed=0)
+        assert plan_key(wl, label, mechanism_kwargs={label: tuning}) == plan_key(wl, label)
+        assert plan_key(
+            wl, "auto", candidates=("LM", label), mechanism_kwargs={label: tuning}
+        ) == plan_key(wl, "auto", candidates=("LM", label))
+
+    def test_unbuildable_pool_entry_is_a_fixed_marker(self):
+        wl = wrange(6, 64, seed=0)
+        # An unknown label and a label whose kwargs its constructor rejects
+        # both contribute the marker instead of raising.
+        unknown = plan_key(wl, "auto", candidates=("LM", "NOPE"))
+        assert unknown == plan_key(
+            wl, "auto", candidates=("LM", "NOPE"), mechanism_kwargs={"NOPE": {"x": 1}}
+        )
+        plan_key(wl, "auto", candidates=("LM",), mechanism_kwargs={"LM": {"bogus": 1}})
+        assert plan_key(
+            wl, "auto", candidates=("LM", "WM"), mechanism_kwargs={"WM": {"bogus": 1}}
+        ) != plan_key(wl, "auto", candidates=("LM", "WM"))
+
+    def test_instance_key_covers_full_state_arrays_and_nested_mechanisms(self):
+        from repro.mechanisms.gaussian import GaussianNoiseOnDataMechanism
+        from repro.mechanisms.strategy import StrategyMechanism
+        from repro.mechanisms.subsampled import SubsampledMechanism
+
+        wl = wrange(6, 64, seed=0)
+        eye = plan_key(wl, StrategyMechanism(np.eye(64)))
+        assert plan_key(wl, StrategyMechanism(np.eye(64))) == eye
+        assert plan_key(wl, StrategyMechanism(2.0 * np.eye(64))) != eye
+        nested = plan_key(wl, SubsampledMechanism(GaussianNoiseOnDataMechanism()))
+        assert plan_key(wl, SubsampledMechanism(GaussianNoiseOnDataMechanism())) == nested
+        assert plan_key(
+            wl, SubsampledMechanism(GaussianNoiseOnDataMechanism(unit_sensitivity=2.0))
+        ) != nested
+
+    def test_key_is_the_same_before_and_after_fitting(self):
+        wl = wrange(6, 64, seed=0)
+        mechanism = NoiseOnDataMechanism(unit_sensitivity=2.0)
+        key = plan_key(wl, mechanism)
+        mechanism.fit(wl)
+        assert plan_key(wl, mechanism) == key
+
+    def test_restarted_engine_with_other_configuration_reuses_its_archive(
+        self, tmp_path, monkeypatch
+    ):
+        # One default engine, then three restarts of a unit_sensitivity=2.0
+        # engine on the same directory: each configuration fits once and
+        # persists its own archive.
+        from repro.engine import query_engine
+
+        calls = []
+        real_build_plan = query_engine.build_plan
+
+        def counting_build_plan(*args, **kwargs):
+            calls.append(kwargs.get("mechanism"))
+            return real_build_plan(*args, **kwargs)
+
+        monkeypatch.setattr(query_engine, "build_plan", counting_build_plan)
+        wl = wrange(6, 64, seed=0)
+        plans = tmp_path / "plans"
+        default = _engine(plan_cache=plans).plan(wl, mechanism="LM")
+        assert default.mechanism.unit_sensitivity == 1.0
+        for _ in range(3):
+            restarted = _engine(
+                plan_cache=plans, mechanism_kwargs={"LM": {"unit_sensitivity": 2.0}},
+            )
+            assert restarted.plan(wl, mechanism="LM").mechanism.unit_sensitivity == 2.0
+        assert len(calls) == 2
+        assert len(list(plans.glob("*.plan.npz"))) == 2
+        assert _engine(plan_cache=plans).plan(wl, mechanism="LM").mechanism.unit_sensitivity == 1.0
+        assert len(calls) == 2
+
+
+PLAN_FIXTURES = Path(__file__).parent / "fixtures" / "plans"
+
+
+class TestPlanArchiveCompatibility:
+    """Only format 4 is written; the committed format-3 archives (see
+    ``tests/fixtures/make_v3_plans.py``) still restore the same strategy
+    and the same answers."""
+
+    @pytest.mark.parametrize("name", ["lm", "lrm"])
+    def test_v3_fixture_restores_the_same_plan(self, name):
+        from repro.io.serialization import plan_archive_info
+
+        path = PLAN_FIXTURES / f"v3_{name}.plan.npz"
+        assert plan_archive_info(path)["plan_format_version"] == 3
+        plan = load_plan(path)
+        assert plan.mechanism_label == name.upper()
+        with np.load(PLAN_FIXTURES / "v3_expected.npz") as expected:
+            if name == "lrm":
+                assert np.array_equal(plan.mechanism.decomposition.b, expected["lrm_b"])
+                assert np.array_equal(plan.mechanism.decomposition.l, expected["lrm_l"])
+            answers = plan.mechanism.answer(
+                np.arange(64.0), 0.5, rng=np.random.default_rng(2012)
+            )
+            np.testing.assert_allclose(answers, expected[f"{name}_answers"], rtol=1e-12)
+
+    @pytest.mark.parametrize("mechanism", ["LM", "LRM", "SUB"])
+    def test_every_archive_is_written_as_version_4(self, tmp_path, mechanism):
+        from repro.io.serialization import plan_archive_info
+
+        wl = wrelated(8, 64, s=2, seed=1)
+        kwargs = {**FAST_LRM, "SUB": {"inner": "GNOR", "sample_rate": 0.25}}
+        plan = build_plan(wl, mechanism=mechanism, mechanism_kwargs=kwargs)
+        path = tmp_path / "plan.plan.npz"
+        save_plan(plan, path)
+        assert plan_archive_info(path)["plan_format_version"] == 4
+        assert load_plan(path).plan_key == plan.plan_key
 
 
 class TestReleaseDataclass:
