@@ -97,7 +97,9 @@ def _evaluate_candidate(spec, workload, epsilon, mechanism_kwargs):
         label = spec.strip().upper()
         try:
             mechanism = make_mechanism(label, **copy.deepcopy(mechanism_kwargs.get(label, {})))
-        except ReproError as exc:
+        except (ReproError, TypeError, ValueError) as exc:
+            # The same set the plan key treats as unbuildable: a constructor
+            # that rejects its kwargs fails this candidate, not the round.
             return MechanismChoice(label, failure=str(exc))
     else:
         # Fit a copy: ranking must not mutate the caller's instance

@@ -440,24 +440,27 @@ class JournalStore(LedgerStore):
             cursor = (base + line_start, records[-1]["seq"], data[line_start:offset])
         return records, base + offset, len(data) - offset, cursor
 
+    def _tail_bytes(self):
+        """The stream's bytes past the cursor record when the cursor
+        verifies, else the whole stream: ``(data, base, seq, resumed)``,
+        ``base`` being the absolute offset of ``data`` and ``seq`` the
+        sequence number of the record before it (0 for the whole stream)."""
+        if self._tail_cursor is not None:
+            start, seq, line = self._tail_cursor
+            data = self._read_from(start)
+            if data is not None and data.startswith(line):
+                return data[len(line):], start + len(line), seq, True
+        return self._read_from(0) or b"", 0, 0, False
+
     def _read_tail(self):
         """Read and parse the stream past the cursor (see the class
         docstring); sets the append numbering. Returns ``(records,
         valid_end, torn_tail_bytes, cursor, resumed)`` — ``resumed=False``
         means the whole stream was read and ``records`` is all of it."""
-        if self._tail_cursor is not None:
-            start, seq, line = self._tail_cursor
-            data = self._read_from(start)
-            if data is not None and data.startswith(line):
-                parsed = self._parse(
-                    data[len(line):], base=start + len(line), first_seq=seq + 1
-                )
-                self._last_seq = seq + len(parsed[0])
-                return (*parsed, True)
-        data = self._read_from(0)
-        parsed = self._parse(data or b"")
-        self._last_seq = len(parsed[0])
-        return (*parsed, False)
+        data, base, seq, resumed = self._tail_bytes()
+        parsed = self._parse(data, base=base, first_seq=seq + 1)
+        self._last_seq = seq + len(parsed[0])
+        return (*parsed, resumed)
 
     def scan(self):
         self._tail_cursor = None
@@ -479,15 +482,18 @@ class JournalStore(LedgerStore):
         past the verified cursor — a torn tail can only sit after the last
         newline — or the whole stream when there is no verified cursor.
         The lost bytes were never acknowledged as committed — dropping
-        them is the *correct* recovery, not data loss. Only ``_last_seq``
-        (append numbering) is refreshed here — NOT the cursor, which
-        tracks what the *caller* has consumed: records this repair parses
-        were never surfaced, and advancing the cursor past them would make
-        the next ``scan_new`` silently skip them."""
-        _, valid_end, torn, _, _ = self._read_tail()
-        if torn:
+        them is the *correct* recovery, not data loss. Nothing is decoded
+        here: the torn tail is whatever follows the last newline and the
+        append numbering (``_last_seq``) counts the newlines before it.
+        Checksum and sequence verification is ``scan_new``'s, which every
+        transaction runs under the same lock; the cursor is left alone,
+        since it tracks what the *caller* has consumed."""
+        data, base, seq, _ = self._tail_bytes()
+        complete = data.rfind(b"\n") + 1
+        self._last_seq = seq + data.count(b"\n")
+        if complete < len(data):
             with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
+                fh.truncate(base + complete)
                 fh.flush()
                 os.fsync(fh.fileno())
 

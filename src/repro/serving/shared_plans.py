@@ -20,7 +20,7 @@ adopts the same (vector, token) pair, so a plan's cached strategy answers
 
 Layout: a JSON-able **manifest** (plan metadata dicts plus an array table
 of ``name -> (offset, dtype, shape)``) travels to workers by pickle at
-spawn; only the bulk bytes live in the segment. Offsets are 64-byte
+worker start; only the bulk bytes live in the segment. Offsets are 64-byte
 aligned so views start on cache-line boundaries.
 """
 

@@ -35,15 +35,34 @@ its slot respawned, surfacing :class:`WorkerTimeoutError` to the caller.
 :meth:`WorkerPool.reload` swaps every slot to a new :class:`WorkerConfig`
 generation-by-generation without dropping in-flight requests — the hot
 plan-reload primitive.
+
+Workers start from a **forkserver** that imported the worker's modules
+(numpy, scipy, the engine, the shared-plan reader) once, so every boot,
+respawn and reload generation after the first is a fork of an interpreter
+that is already warm: milliseconds instead of a fresh interpreter's
+imports. The forkserver belongs to the process: the first pool launches
+it, with this process's ``sys.path`` as its ``PYTHONPATH`` so the preload
+finds ``repro``, and an ``atexit`` hook stops and reaps it (ending any
+worker still running first). A forked worker does not inherit the
+forkserver's environment: each worker process carries the environment its
+parent has when the worker is created and installs it before
+:func:`worker_main` runs, which re-arms ``REPRO_FAILPOINTS`` from it and
+then arms ``WorkerConfig.failpoints`` — the same set a freshly imported
+worker would arm. Variables read only at import (BLAS thread counts, for
+one) keep the value they had when the forkserver launched.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 import queue as queue_module
+import sys
 import threading
 import time
+from multiprocessing import forkserver
+from multiprocessing.context import ForkServerProcess
 from pathlib import Path
 
 from repro.exceptions import ReproError, ValidationError
@@ -65,6 +84,86 @@ __all__ = [
 #: high concurrency queues dozens of spends deep, so workers wait ~2 s
 #: before surfacing LedgerBusyError as backpressure to the client.
 SERVING_LEDGER_RETRY = RetryPolicy(attempts=48, base_delay=0.001, max_delay=0.05)
+
+
+#: What the forkserver imports once, so every worker it forks starts with
+#: numpy, scipy and the engine already loaded.
+_PRELOAD = ["repro.serving.worker", "repro.engine.query_engine", "repro.serving.shared_plans"]
+
+#: The forkserver is one per process, so its lock and exit flag are too:
+#: the lock serializes worker starts with the server's launch and stop.
+_forkserver_lock = threading.Lock()
+_exiting = False
+
+
+class _WorkerProcess(ForkServerProcess):
+    """A worker forked by the forkserver, carrying the environment its
+    parent had when it was created. A forked child inherits the server's
+    environment from the server's launch instead, so :meth:`run` installs
+    the captured one before the target runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._environ = dict(os.environ)
+
+    def run(self):
+        os.environ.clear()
+        os.environ.update(self._environ)
+        super().run()
+
+
+def _launch_forkserver():
+    """Launch the process's forkserver and have it stopped at exit
+    (caller holds the lock). The server ignores the ``sys.path`` it is
+    handed and swallows a failed preload, so this process's ``sys.path``
+    travels as ``PYTHONPATH`` for the launch only."""
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        entry for entry in sys.path if isinstance(entry, str) and entry
+    )
+    try:
+        forkserver.set_forkserver_preload(_PRELOAD)
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+    atexit.register(_stop_forkserver)
+
+
+def _start_worker(args, name):
+    """Fork one worker process from the forkserver, launching it first."""
+    with _forkserver_lock:
+        if _exiting:
+            raise WorkerCrashError("the interpreter is exiting", delivered=False)
+        process = _WorkerProcess(target=worker_main, args=args, name=name, daemon=True)
+        if forkserver._forkserver._forkserver_pid is None:
+            _launch_forkserver()
+        process.start()
+    return process
+
+
+def _stop_forkserver():
+    """Interpreter exit: end the forkserver and reap it, so it never
+    outlives this process. Every worker holds the server's liveness pipe,
+    so workers still running are ended first, as multiprocessing's own
+    exit handler (which runs after this one) would end them."""
+    global _exiting
+    with _forkserver_lock:
+        _exiting = True
+        workers = [
+            child for child in multiprocessing.active_children()
+            if isinstance(child, _WorkerProcess)
+        ]
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join(5.0)
+            if worker.is_alive():  # pragma: no cover - ignores SIGTERM
+                worker.kill()
+                worker.join()
+        forkserver._forkserver._stop()
 
 
 class WorkerCrashError(ReproError):
@@ -251,6 +350,7 @@ def worker_main(connection, config, worker_index):
     """Worker process entry point: blocking command loop over the pipe."""
     from repro.testing.faults import failpoints, fire
 
+    failpoints.load_environ()
     for name, action in config.failpoints.items():
         failpoints.arm(name, action)
     fire("serving.worker.boot")
@@ -404,6 +504,11 @@ class _WorkerHandle:
 class WorkerPool:
     """Parent-side supervisor: spawn, dispatch, heartbeat, replace, drain.
 
+    Every worker is forked from the process's preloaded forkserver (see
+    the module docstring): the first pool in a process pays the server's
+    imports, every later start — another pool, a respawn, a reload
+    generation — takes milliseconds. There is no other start method.
+
     ``submit`` checks a worker out of the free queue, runs one request
     under a deadline, and returns it — callers block only while all
     workers are busy (up to ``timeout``, then :class:`WorkerBusyError`).
@@ -426,7 +531,6 @@ class WorkerPool:
         if int(workers) <= 0:
             raise ValidationError("WorkerPool needs at least one worker")
         self._config = config
-        self._context = multiprocessing.get_context("spawn")
         self._respawn = respawn
         self._failpoints_by_worker = dict(failpoints_by_worker or {})
         self._failpoints_by_slot = dict(failpoints_by_slot or {})
@@ -487,14 +591,8 @@ class WorkerPool:
         index = self._next_index
         self._next_index += 1
         config = self._config_for(index, slot.slot_id)
-        parent_end, worker_end = self._context.Pipe()
-        process = self._context.Process(
-            target=worker_main,
-            args=(worker_end, config, index),
-            name=f"repro-serve-{index}",
-            daemon=True,
-        )
-        process.start()
+        parent_end, worker_end = multiprocessing.Pipe()
+        process = _start_worker((worker_end, config, index), f"repro-serve-{index}")
         worker_end.close()
         handle = _WorkerHandle(process, parent_end, index, slot, self._generation)
         slot.handle = handle

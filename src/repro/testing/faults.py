@@ -26,7 +26,9 @@ in-process tests, or via the ``REPRO_FAILPOINTS`` **environment variable**
 (``"name=action,name=action"``) so a subprocess worker picks its faults up
 at import time — the transport the crash-matrix suite in
 ``tests/test_ledger_faults.py`` uses to kill a worker at every registered
-point and assert recovery.
+point and assert recovery. A serving worker is forked with this module
+already imported, so it re-reads the variable at startup
+(:meth:`FailPointRegistry.load_environ`).
 
 Every firing site must be *registered* (at import time of the module that
 embeds it); firing or arming an unknown name raises — a misspelled
@@ -54,7 +56,8 @@ __all__ = [
 ]
 
 #: Environment variable read at registry construction (i.e. at import in a
-#: subprocess): ``"point=action[,point=action...]"``.
+#: subprocess) and by :meth:`FailPointRegistry.load_environ`:
+#: ``"point=action[,point=action...]"``.
 ENV_VAR = "REPRO_FAILPOINTS"
 
 #: Exit status of a ``crash``/``torn`` action — chosen to match the shell's
@@ -97,9 +100,20 @@ class FailPointRegistry:
     def __init__(self, environ=None):
         self._known = {}  # name -> doc
         self._armed = {}  # name -> action
+        self.load_environ(environ)
+
+    def load_environ(self, environ=None):
+        """Replace the armed set with the ``REPRO_FAILPOINTS`` arming of
+        ``environ`` (default ``os.environ``): registered points arm now,
+        the rest when they register. A process forked with this module
+        already imported calls it to arm what its own environment names,
+        exactly as a fresh import would."""
+        self._armed.clear()
         self._env_pending = self._parse_env(
             (os.environ if environ is None else environ).get(ENV_VAR, "")
         )
+        for name in [name for name in self._env_pending if name in self._known]:
+            self.arm(name, self._env_pending.pop(name))
 
     @staticmethod
     def _parse_env(spec):

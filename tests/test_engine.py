@@ -44,6 +44,19 @@ class TestSelection:
         assert choices[0].label == "LM"
         assert not choices[-1].ok
 
+    def test_constructor_rejecting_kwargs_fails_only_that_candidate(self):
+        # A label whose kwargs its constructor rejects (TypeError) is a
+        # failed candidate, like an unknown label, not a failed plan.
+        engine = PrivateQueryEngine(
+            np.ones(64), total_budget=1.0, candidates=("LM", "WM"),
+            mechanism_kwargs={"WM": {"bogus": 1}},
+        )
+        plan = engine.plan(wrange(6, 64, seed=0))
+        assert plan.mechanism_label == "LM"
+        failed = [c for c in plan.candidates if c.failure is not None]
+        assert [c.label for c in failed] == ["WM"]
+        assert "bogus" in failed[0].failure
+
     def test_select_returns_fitted_best(self):
         wl = wrelated(8, 64, s=2, seed=1)
         mech = select_mechanism(wl, 0.1, candidates=("LM", "LRM"), mechanism_kwargs=FAST_LRM)

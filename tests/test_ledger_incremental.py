@@ -435,9 +435,9 @@ class TestTransactionAgeIndependence:
     ):
         young = self.measure(tmp_path, monkeypatch, 10)
         old = self.measure(tmp_path, monkeypatch, 500)
-        # The repair and the sync each decode the other writer's intent
-        # and commit, and nothing else.
-        assert young.decodes == old.decodes == 4
+        # The sync decodes the other writer's intent and commit, and
+        # nothing else; the repair only looks for the last newline.
+        assert young.decodes == old.decodes == 2
         assert len(young.reads) == len(old.reads) == 2
         # Each read covers the cursor record and the two foreign records;
         # the only bytes that differ are the older journal's wider
@@ -519,11 +519,12 @@ class TestJournalTailRead:
             counter = ReadCounter(patch)
             acct.spend(0.02)
         # The repair and the sync each try the cursor, find it moved, and
-        # fall back to reading and verifying every record.
+        # fall back to reading the whole stream; only the sync decodes
+        # and verifies every record.
         assert [offset == 0 for offset, _ in counter.reads] == [
             False, True, False, True
         ]
-        assert counter.decodes == 2 * len(records)
+        assert counter.decodes == len(records)
         assert acct.spent_epsilon == pytest.approx(0.1 + 0.05 + 0.01 + 0.02)
         assert_matches_cold_replay(acct, path)
         acct.close()

@@ -154,6 +154,43 @@ class TestSupervision:
             pool.shutdown()
             store.unlink()
 
+    def test_one_worker_service_serves_again_soon_after_a_kill(
+        self, plans_dir, data, tmp_path
+    ):
+        # The first crash of a slot respawns at once, and the worker forks
+        # from the preloaded forkserver: a 1-worker service is back well
+        # inside 0.3 s. (A second kill in a row would wait out the
+        # restart backoff, by design.)
+        import os
+        import signal
+
+        config = ServiceConfig(
+            plans_dir=plans_dir, ledger_root=tmp_path / "ledgers", data=data,
+            total_epsilon=5.0, workers=1, seed=11,
+        )
+
+        async def scenario():
+            service = PlanService(config)
+            await service.start()
+            try:
+                await service.execute("alice", "related", 0.05, key="before")
+                health = await service.health()
+                os.kill(health["slots"][0]["pid"], signal.SIGKILL)
+                killed = time.monotonic()
+                release = await service.execute("alice", "related", 0.05, key="after")
+                elapsed = time.monotonic() - killed
+                health = await service.health()
+            finally:
+                await service.shutdown()
+            return release, elapsed, health
+
+        release, elapsed, health = asyncio.run(scenario())
+        assert len(release["values"]) == 8
+        assert elapsed <= 0.3, f"first release after the kill took {elapsed:.3f} s"
+        assert health["crashes"] == 1 and health["restarts"] == 1
+        replayed = inspect_ledger(tmp_path / "ledgers" / "alice.journal")
+        assert replayed["costs"] == 2  # one charge per key, none for the kill
+
     def test_read_retried_after_its_worker_dies(self, plans_dir, data, tmp_path):
         config = ServiceConfig(
             plans_dir=plans_dir, ledger_root=tmp_path / "ledgers", data=data,

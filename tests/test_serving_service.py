@@ -19,9 +19,10 @@ The contracts under test:
   replaying a tenant's ledger through a fresh accountant reproduces the
   served budget exactly.
 
-Worker processes use the ``spawn`` start method, so every pool test pays
-a couple of interpreter startups — the suite keeps worker counts at 1-2
-and shares the staged plan directory across tests.
+Worker processes fork from a preloaded forkserver, so only the first
+pool in the test process pays the interpreter's imports; the suite still
+keeps worker counts at 1-2 and shares the staged plan directory across
+tests.
 """
 
 import asyncio
