@@ -17,7 +17,11 @@ Every release, keyed or not, is charged through one transaction, the
 accountant's ``spend_keyed``: admit the costs, produce the releases, and
 only then commit the charge (journaled, with the released vectors of
 keyed requests, when a durable ledger is attached). A release whose
-production fails is never charged.
+production fails is never charged. A keyed release is stored as a
+:class:`repro.privacy.accountant.StoredRelease` — its vector, the
+plan-level fields shared by its batch group, and its realized guarantee —
+and every :class:`Release` the engine returns, fresh or replayed, is
+built from that form by one function, so a replay equals the original.
 
 Privacy accounting is pluggable (:mod:`repro.privacy.accountant`): the
 default is pure eps-DP sequential composition; constructing the engine with
@@ -54,9 +58,13 @@ from repro.engine.selection import APPROX_DP_CANDIDATES, DEFAULT_CANDIDATES
 from repro.exceptions import ReproError, ValidationError
 from repro.linalg.validation import as_vector, check_positive, ensure_rng
 from repro.mechanisms.base import as_workload
-from repro.privacy.accountant import BudgetAccountant, make_accountant
+from repro.privacy.accountant import BudgetAccountant, StoredRelease, make_accountant
+from repro.privacy.cost import cost_record
 
 __all__ = ["PrivateQueryEngine", "Release"]
+
+#: The post-processing switches, in the order releases record them.
+_SWITCHES = ("non_negative", "integral", "consistent")
 
 #: Data-epoch token state. Each engine stamps a fresh token whenever its
 #: data vector is (re)set; compiled plans key their cached strategy answers
@@ -447,57 +455,52 @@ class PrivateQueryEngine:
                 memo[key] = None
         return memo[key]
 
-    def _metadata_base(self, plan):
-        """The release-invariant audit metadata of one plan (shape, plan
-        key, accountant model) — computed once per plan per batch instead
-        of once per release on the serving hot path."""
+    def _head(self, plan, cost, switches, expected_memo):
+        """The plan-level fields of a release (everything but its vector,
+        realized guarantee and cost): one dict per ``(plan, cost,
+        switches)`` batch group, shared by the group's stored releases so
+        a journal commit stores it once."""
         return {
-            "shape": plan.shape,
+            "mechanism": plan.mechanism_label,
+            "workload_key": plan.workload_key,
+            "expected_error": self._predicted_error(plan, cost.epsilon, expected_memo),
+            "shape": None if plan.shape is None else list(plan.shape),
             "plan_key": plan.plan_key,
             "accountant": self._accountant.name,
+            "postprocess": {name: bool(switches[name]) for name in _SWITCHES},
         }
 
-    def _finalize_release(
-        self, plan, cost, answers, non_negative, integral, consistent,
-        expected_memo, metadata_base, realized,
-    ):
-        """Post-process raw noisy answers and wrap them as a Release; the
-        cost must already be admitted.
-
-        ``cost`` is the typed :class:`NoiseCost` the accountant was
-        charged; its (epsilon, delta) populate the Release fields exactly
-        as the scalar pair used to, and its full record is journaled under
-        ``metadata["cost"]``. ``realized`` is the cumulative
-        (spent_epsilon, spent_delta) guarantee of the accountant *after*
-        this release's charge committed — the audit trail of what the
-        whole ledger promises at that point, which under non-additive
-        accounting (RDP) is the only faithful per-release privacy figure.
-        """
-        if non_negative or integral or consistent:
-            # Only the consistency projection reads W; clamping/rounding
-            # must not force an implicit large-domain workload dense.
-            answers = postprocess_answers(
-                plan.workload.matrix if consistent else None,
-                answers,
-                non_negative=non_negative,
-                integral=integral,
-                consistent=consistent,
-            )
-        metadata = dict(metadata_base)
-        metadata["realized"] = {"epsilon": realized[0], "delta": realized[1]}
-        metadata["cost"] = cost.to_record()
-        metadata["postprocess"] = {
-            "non_negative": bool(non_negative),
-            "integral": bool(integral),
-            "consistent": bool(consistent),
+    @staticmethod
+    def _release_from_stored(stored, deduplicated=False):
+        """Build a :class:`Release` from its stored form — the one builder
+        of fresh and replayed releases alike. ``realized`` is the
+        cumulative (spent_epsilon, spent_delta) guarantee of the
+        accountant *after* this release's charge committed — the audit
+        trail of what the whole ledger promises at that point, which under
+        non-additive accounting (RDP) is the only faithful per-release
+        privacy figure. A replay gets its own copy of the vector and is
+        flagged ``metadata["deduplicated"] = True``."""
+        head, cost = stored.head, stored.cost
+        shape = head["shape"]
+        metadata = {
+            "shape": None if shape is None else tuple(shape),
+            "plan_key": head["plan_key"],
+            "accountant": head["accountant"],
+            "realized": {"epsilon": stored.realized[0], "delta": stored.realized[1]},
+            "cost": cost_record(cost),
+            "postprocess": dict(head["postprocess"]),
         }
+        answers = stored.values
+        if deduplicated:
+            metadata["deduplicated"] = True
+            answers = np.array(answers, dtype=np.float64)
         return Release(
             answers=answers,
-            mechanism=plan.mechanism_label,
+            mechanism=head["mechanism"],
             epsilon=cost.epsilon,
             delta=cost.delta,
-            expected_error=self._predicted_error(plan, cost.epsilon, expected_memo),
-            workload_key=plan.workload_key,
+            expected_error=head["expected_error"],
+            workload_key=head["workload_key"],
             metadata=metadata,
         )
 
@@ -512,31 +515,15 @@ class PrivateQueryEngine:
             )
         return key
 
-    @staticmethod
-    def _journal_payload(release):
-        """The JSON-able durable form of a release — everything needed to
-        replay it bit-identically (JSON floats round-trip via ``repr``, so
-        the stored vector is the released vector to the last bit)."""
-        metadata = {}
-        for name, value in release.metadata.items():
-            if name == "shape" and value is not None:
-                value = list(value)
-            metadata[name] = value
-        return {
-            "values": release.answers.tolist(),
-            "mechanism": release.mechanism,
-            "epsilon": float(release.epsilon),
-            "delta": float(release.delta),
-            "expected_error": release.expected_error,
-            "workload_key": release.workload_key,
-            "metadata": metadata,
-        }
-
-    @staticmethod
-    def _release_from_payload(payload):
-        """Rebuild a :class:`Release` from its journal payload. The
-        rebuilt release is flagged ``metadata["deduplicated"] = True`` —
-        it re-exposes an already-charged release, never a new one."""
+    @classmethod
+    def _release_from_payload(cls, payload):
+        """Rebuild a replayed :class:`Release` from its stored result: a
+        :class:`StoredRelease`, or the JSON payload a format-1/2 ledger
+        journaled. The rebuilt release is flagged
+        ``metadata["deduplicated"] = True`` — it re-exposes an
+        already-charged release, never a new one."""
+        if isinstance(payload, StoredRelease):
+            return cls._release_from_stored(payload, deduplicated=True)
         metadata = dict(payload.get("metadata") or {})
         shape = metadata.get("shape")
         if shape is not None:
@@ -559,10 +546,11 @@ class PrivateQueryEngine:
 
         Fresh releases are built *before* the charge commits (and, on a
         ledger, before the intent/commit pair is journaled) and are logged
-        in the audit trail; ``produce`` builds a journal payload only for
-        keyed positions. Deduplicated positions return the stored release
-        rebuilt from its payload (``metadata["deduplicated"] = True``) and
-        are **not** re-logged — no new privacy event happened.
+        in the audit trail; ``produce`` returns the stored form of each
+        keyed position (a snapshot of its vector) and ``None`` for the
+        others. Deduplicated positions return the stored release rebuilt
+        (``metadata["deduplicated"] = True``) and are **not** re-logged —
+        no new privacy event happened.
         """
         produced = {}
 
@@ -570,14 +558,16 @@ class PrivateQueryEngine:
             staged = self._produce_batch(
                 [prepared[position][:3] for position in positions], realized
             )
-            payloads = []
-            for position, release in zip(positions, staged):
-                produced[position] = release
-                payloads.append(
+            results = []
+            for position, stored in zip(positions, staged):
+                produced[position] = self._release_from_stored(stored)
+                results.append(
                     None if prepared[position][3] is None
-                    else self._journal_payload(release)
+                    else StoredRelease(
+                        stored.values.copy(), stored.head, stored.realized, stored.cost
+                    )
                 )
-            return payloads
+            return results
 
         outcomes = self._accountant.spend_keyed(
             [(cost, key) for _, cost, _, key in prepared], produce
@@ -710,7 +700,8 @@ class PrivateQueryEngine:
         return self._release(prepared)
 
     def _produce_batch(self, prepared, realized):
-        """Produce every release of an admitted batch, plan-grouped.
+        """Produce the stored form of every release of an admitted batch,
+        plan-grouped.
 
         Each group runs through the plan's compiled release operator (noise
         draw plus recombination, with the strategy answers ``L x`` cached
@@ -725,35 +716,49 @@ class PrivateQueryEngine:
             groups.setdefault(id(plan), []).append(index)
         staged = [None] * len(prepared)
         expected_memo = {}
+        heads = {}
         for indices in groups.values():
             plan = prepared[indices[0]][0]
-            metadata_base = self._metadata_base(plan)
+            compiled = plan.compile()
             if len(indices) == 1:
-                index = indices[0]
-                _, cost, switches = prepared[index]
-                answers = plan.compile().answer(
-                    self._data, cost.epsilon, self._rng, epoch=self._data_epoch
+                rows = [compiled.answer(
+                    self._data, prepared[indices[0]][1].epsilon, self._rng,
+                    epoch=self._data_epoch,
+                )]
+            else:
+                # Each release takes a row view of the freshly-allocated
+                # (k, m) batch buffer — rows never overlap, so releases
+                # cannot alias each other's answers.
+                rows = compiled.answer_many(
+                    self._data, [prepared[index][1].epsilon for index in indices],
+                    self._rng, epoch=self._data_epoch,
                 )
-                staged[index] = self._finalize_release(
-                    plan, cost, answers,
-                    expected_memo=expected_memo, metadata_base=metadata_base,
-                    realized=realized[index],
-                    **switches,
-                )
-                continue
-            epsilons = [prepared[index][1].epsilon for index in indices]
-            batch = plan.compile().answer_many(
-                self._data, epsilons, self._rng, epoch=self._data_epoch
-            )
-            # Each release takes a row view of the freshly-allocated (k, m)
-            # batch buffer — rows never overlap, so releases cannot alias
-            # each other's answers.
-            for row, index in zip(batch, indices):
+            for row, index in zip(rows, indices):
                 _, cost, switches = prepared[index]
-                staged[index] = self._finalize_release(
-                    plan, cost, row,
-                    expected_memo=expected_memo, metadata_base=metadata_base,
-                    realized=realized[index],
-                    **switches,
+                group = (
+                    id(plan), cost, bool(switches["non_negative"]),
+                    bool(switches["integral"]), bool(switches["consistent"]),
+                )
+                head = heads.get(group)
+                if head is None:
+                    head = heads[group] = self._head(plan, cost, switches, expected_memo)
+                staged[index] = StoredRelease(
+                    self._postprocess(plan, row, **switches), head, realized[index], cost
                 )
         return staged
+
+    @staticmethod
+    def _postprocess(plan, answers, non_negative, integral, consistent):
+        """Apply the privacy-free post-processing switches to raw noisy
+        answers."""
+        if not (non_negative or integral or consistent):
+            return answers
+        # Only the consistency projection reads W; clamping/rounding must
+        # not force an implicit large-domain workload dense.
+        return postprocess_answers(
+            plan.workload.matrix if consistent else None,
+            answers,
+            non_negative=non_negative,
+            integral=integral,
+            consistent=consistent,
+        )

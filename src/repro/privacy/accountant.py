@@ -54,17 +54,55 @@ succeeds and leaves ``remaining_epsilon == 0.0`` exactly (no
 from __future__ import annotations
 
 import abc
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.exceptions import PrivacyBudgetError, ReproError
 from repro.linalg.validation import check_positive
-from repro.privacy.cost import NoiseCost, as_spend_cost, charged_pair
+from repro.privacy.cost import NoiseCost, as_spend_cost, charged_pair, cost_record
 
 __all__ = [
     "BudgetAccountant",
     "PureDPAccountant",
     "ApproxDPAccountant",
+    "StoredRelease",
     "make_accountant",
 ]
+
+
+class StoredRelease(NamedTuple):
+    """The stored result of one keyed release, as ``spend_keyed`` keeps it.
+
+    ``values`` is the released float64 vector; ``head`` the JSON-able
+    plan-level fields the releases of one batch group share (one dict
+    object per group, so a journal stores it once per commit); ``realized``
+    the ledger's cumulative ``(epsilon, delta)`` right after the charge;
+    ``cost`` the charged cost (on replay from a durable ledger, the cost
+    its intent record journaled). The accountant treats ``head`` as
+    opaque: what it holds is the producer's business.
+    """
+
+    values: np.ndarray
+    head: dict
+    realized: tuple
+    cost: object
+
+    def to_record(self):
+        """The JSON form (the answers as a float list) — what
+        ``result_for`` reports for an audit."""
+        return {
+            "values": self.values.tolist(),
+            "head": self.head,
+            "realized": list(self.realized),
+            "cost": cost_record(self.cost),
+        }
+
+
+def stored_result_record(result):
+    """``result_for``'s view of a stored result: a :class:`StoredRelease`
+    as its JSON form, anything else as stored."""
+    return result.to_record() if isinstance(result, StoredRelease) else result
 
 
 def partition_keyed(requests, lookup):
@@ -374,7 +412,7 @@ class BudgetAccountant(abc.ABC):
     def result_for(self, key):
         """The stored result of the keyed spend that charged ``key``, or
         ``None`` if no keyed spend with that key has committed."""
-        return self._stored_results.get(key)
+        return stored_result_record(self._stored_results.get(key))
 
     def spend_keyed(self, requests, produce):
         """Exactly-once spend: charge each request at most once per key.

@@ -73,6 +73,33 @@ freed for retry — a keyed spend always lands on exactly
 *charged-with-replayable-result* or *uncharged-with-free-key*, never a
 third state.
 
+**Record shapes (format 3).** Every record is one canonical JSON object
+(sorted keys, no spaces) with its ``seq`` and ``crc``; both backends share
+this codec. ``meta``: ``{"op": "meta", "format": 3, "model",
+"total_epsilon", "total_delta", "alphas"}``. ``intent``: ``{"op":
+"intent", "txn", "costs": [cost record, ...], "keys": [key or null,
+...]}`` (``keys`` only when keyed). ``commit``: ``{"op": "commit",
+"txn"}``, plus for a keyed transaction ``"heads"`` and ``"results"``:
+
+* ``heads`` — each distinct plan-level field set of the transaction's
+  releases once (the engine's: ``mechanism``, ``workload_key``,
+  ``plan_key``, ``shape``, ``accountant``, ``expected_error``,
+  ``postprocess``);
+* ``results`` — aligned with ``keys``: ``null`` where there is no stored
+  result, ``[head index, base64 of the little-endian float64 answers,
+  realized epsilon, realized delta]`` for a release (bit-exact by
+  construction; the cost and (epsilon, delta) are the intent's at the
+  same position, not repeated), ``{"value": ...}`` for any other JSON
+  result a ``spend_keyed`` caller stored.
+
+The dedup index keeps these encoded entries and decodes one only when a
+key hits it. Formats 1 and 2 (results as JSON payloads, without
+``heads``) replay bit-identically and their results still dedup; a
+format-2 ledger may carry format-3 commits appended later. Only format 3
+is written — by spends, checkpoint compaction and :func:`recover_ledger`,
+whose rewrite stamps the meta header ``format: 3`` and carries a legacy
+JSON result over as a ``{"value": ...}`` entry.
+
 Entry points: ``PrivateQueryEngine(..., ledger_path=...)`` wraps the
 engine's accountant automatically; :func:`open_ledger` does the same for a
 bare accountant; :func:`inspect_ledger` / :func:`recover_ledger` back the
@@ -82,6 +109,7 @@ CLI's ``ledger inspect`` / ``ledger recover`` targets.
 from __future__ import annotations
 
 import abc
+import base64
 import hashlib
 import json
 import logging
@@ -90,6 +118,8 @@ import sqlite3
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from repro.exceptions import (
     LedgerBusyError,
@@ -100,9 +130,11 @@ from repro.exceptions import (
 from repro.io.atomic import RetryPolicy, fsync_directory, retry_with_backoff
 from repro.privacy.accountant import (
     BudgetAccountant,
+    StoredRelease,
     make_accountant,
     partition_keyed,
     settle_keyed,
+    stored_result_record,
 )
 from repro.privacy.cost import (
     NoiseCost,
@@ -135,16 +167,23 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Format 2 (typed costs): an intent's "costs" array may mix the legacy
-# [epsilon, delta] list encoding with NoiseCost record dicts. Format-1
-# streams (scalar pairs only) are a strict subset and replay through the
-# same shim (repro.privacy.cost.cost_from_record) bit-identically.
-LEDGER_FORMAT_VERSION = 2
+# Format 3 (compact results): a keyed commit stores each release as the
+# base64 of its float64 bytes plus what differs from the intent's cost
+# record, with the plan-level fields once per commit (see the module
+# docstring). Format 2 (typed costs) let an intent's "costs" mix the
+# legacy [epsilon, delta] lists with NoiseCost record dicts; format 1
+# (scalar pairs only) is a strict subset. Both still replay, through the
+# same cost shim (repro.privacy.cost.cost_from_record) bit-identically,
+# and their commits' JSON results still dedup. Only format 3 is written.
+LEDGER_FORMAT_VERSION = 3
 
 #: Meta-header formats this reader replays. Unknown *fields* in the meta
 #: header only warn (forward compatibility); an unknown *format number* is
 #: a genuinely incompatible stream and still refuses.
-ACCEPTED_LEDGER_FORMATS = (1, 2)
+ACCEPTED_LEDGER_FORMATS = (1, 2, 3)
+
+#: Byte layout of a format-3 stored release vector.
+_VALUES_DTYPE = np.dtype("<f8")
 
 #: Path suffixes routed to the SQLite backend by ``backend="auto"``.
 _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
@@ -206,16 +245,74 @@ def _txn_id():
     return f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
 
 
-def _txn_payloads(txn, costs, keys=None, results=None):
+def _txn_payloads(txn, costs, keys=None, heads=None, entries=None):
     """The ``intent`` and ``commit`` payloads of one transaction: the
     intent holds the costs (and the idempotency ``keys`` of a keyed
-    transaction), the commit its stored ``results``."""
+    transaction), the commit its encoded results (``heads`` and
+    ``entries`` from :func:`_encode_results`)."""
     intent = {"op": "intent", "txn": txn, "costs": [cost_record(c) for c in costs]}
     commit = {"op": "commit", "txn": txn}
     if keys is not None:
         intent["keys"] = keys
-        commit["results"] = results
+        commit["heads"] = heads
+        commit["results"] = entries
     return intent, commit
+
+
+def _encode_results(results):
+    """Encode a keyed transaction's stored results for a format-3 commit.
+
+    Returns ``(heads, entries)``: ``heads`` lists each distinct
+    :class:`StoredRelease` head once (by identity: the producer shares one
+    dict per batch group); ``entries`` is aligned with ``results`` —
+    ``null`` where there is no result, ``[head index, base64 of the
+    little-endian float64 values, realized epsilon, realized delta]`` for
+    a release, ``{"value": result}`` for any other JSON-able result. The
+    release's cost is not repeated: it is the intent's cost at the same
+    position."""
+    heads, slots, entries = [], {}, []
+    for result in results:
+        if result is None:
+            entries.append(None)
+        elif isinstance(result, StoredRelease):
+            values = result.values
+            if values.dtype != np.float64:
+                raise LedgerError(
+                    f"stored release values must be float64, got {values.dtype}"
+                )
+            slot = slots.get(id(result.head))
+            if slot is None:
+                slot = slots[id(result.head)] = len(heads)
+                heads.append(result.head)
+            encoded = base64.b64encode(values.astype(_VALUES_DTYPE, copy=False).tobytes())
+            realized_epsilon, realized_delta = result.realized
+            entries.append([
+                slot, encoded.decode("ascii"),
+                float(realized_epsilon), float(realized_delta),
+            ])
+        else:
+            entries.append({"value": result})
+    return heads, entries
+
+
+def _decode_result(heads, entry, cost):
+    """Inverse of :func:`_encode_results` for one entry (``heads`` is
+    ``None`` for a format-1/2 commit, whose results are stored verbatim).
+    ``cost`` is the intent's cost at the entry's position."""
+    if heads is None or entry is None:
+        return entry
+    try:
+        if isinstance(entry, dict):
+            return entry["value"]
+        slot, encoded, realized_epsilon, realized_delta = entry
+        values = np.frombuffer(
+            base64.b64decode(encoded, validate=True), dtype=_VALUES_DTYPE
+        )
+        return StoredRelease(
+            values, heads[slot], (realized_epsilon, realized_delta), cost
+        )
+    except (ValueError, TypeError, IndexError, KeyError) as exc:  # incl. binascii.Error
+        raise LedgerCorruptError(f"undecodable stored result: {exc!r}") from exc
 
 
 def _committed_cost(cost):
@@ -761,9 +858,12 @@ class _LedgerFold:
 
     Holds the ``meta`` header, pending ``intents`` (txn -> ``(costs,
     keys)``), the ``committed`` ``(txn, costs)`` pairs in commit order, the
-    result journal (``keyed``: txn -> ``{"keys", "results"}``, indexed by
-    key in ``keys``), the ``rolled_back`` and ``resets`` counts and the
-    number of ``records`` folded. With an ``accountant``, every commit's
+    result journal (``keyed``: txn -> ``{"keys", "costs", "heads",
+    "results"}``, the commit's results as encoded on disk — ``heads`` is
+    ``None`` for a format-1/2 commit — indexed by key in ``keys``; a
+    result is decoded only when :meth:`lookup` hits it), the
+    ``rolled_back`` and ``resets`` counts and the number of ``records``
+    folded. With an ``accountant``, every commit's
     costs are pushed through its ``_commit_state`` hook in commit order —
     the exact arithmetic the original spends performed, so the state is
     bit-identical to the in-memory ledger at that record. Plain commits
@@ -829,7 +929,7 @@ class _LedgerFold:
                 if entry is None:
                     raise LedgerCorruptError(f"commit for unknown txn {txn!r}")
                 costs, keys = entry
-                self._commit(txn, costs, keys, record.get("results"))
+                self._commit(txn, costs, keys, record)
                 if self.accountant is not None and not recompute:
                     state = self.accountant._ledger_state()
                     for cost in costs:
@@ -860,8 +960,9 @@ class _LedgerFold:
         if recompute:
             self.replay()
 
-    def _commit(self, txn, costs, keys, results):
+    def _commit(self, txn, costs, keys, commit):
         self.committed.append((txn, costs))
+        results = commit.get("results")
         if keys is None or results is None:
             return
         if len(results) != len(keys):
@@ -869,7 +970,10 @@ class _LedgerFold:
                 f"commit for txn {txn!r} carries {len(results)} results for "
                 f"{len(keys)} keys"
             )
-        self.keyed[txn] = {"keys": list(keys), "results": list(results)}
+        self.keyed[txn] = {
+            "keys": keys, "costs": costs,
+            "heads": commit.get("heads"), "results": results,
+        }
         # First writer wins: a key can only appear twice if an earlier
         # holder was rolled back and re-spent, in which case the live txn
         # re-indexes.
@@ -877,11 +981,12 @@ class _LedgerFold:
             if key is not None and key not in self.keys:
                 self.keys[key] = (txn, index)
 
-    def mirror(self, txn, costs, keys, results):
+    def mirror(self, txn, costs, keys, commit):
         """Fold the intent/commit pair this process just appended, for a
         spend its accountant has already charged: O(1), no re-parse and
-        no state change. ``keys``/``results`` are ``None`` when unkeyed."""
-        self._commit(txn, costs, keys, results)
+        no state change. ``keys`` is ``None`` when unkeyed; ``commit`` is
+        the commit payload as appended."""
+        self._commit(txn, costs, keys, commit)
         self.records += 2
 
     def replay(self):
@@ -902,7 +1007,10 @@ class _LedgerFold:
         if ref is None:
             return None
         txn, index = ref
-        return self.keyed[txn]["results"][index]
+        entry = self.keyed[txn]
+        return _decode_result(
+            entry["heads"], entry["results"][index], entry["costs"][index]
+        )
 
     @property
     def dangling_intents(self):
@@ -930,20 +1038,27 @@ class _LedgerFold:
         )
 
     def compaction_payloads(self):
-        """The stream as a checkpoint: a clean ``meta`` plus one
-        intent/commit pair per surviving transaction, in commit order. The
-        dedup index survives: keys and stored results ride along with
-        their txn. Replaying it reproduces this fold's state bit for bit;
-        what it drops (dangling intents, applied rollbacks and resets) is
-        exactly what replay already ignored."""
-        payloads = [
-            {key: value for key, value in self.meta.items() if key not in ("seq", "crc")}
-        ]
+        """The stream as a checkpoint, in format 3: a clean ``meta`` plus
+        one intent/commit pair per surviving transaction, in commit order.
+        The dedup index survives: keys and stored results ride along with
+        their txn (format-3 results as they are, a format-1/2 commit's
+        JSON results each as a ``{"value": ...}`` entry). Replaying it
+        reproduces this fold's state bit for bit; what it drops (dangling
+        intents, applied rollbacks and resets) is exactly what replay
+        already ignored."""
+        meta = {key: value for key, value in self.meta.items() if key not in ("seq", "crc")}
+        payloads = [{**meta, "format": LEDGER_FORMAT_VERSION}]
         for txn, costs in self.committed:
-            entry = self.keyed.get(txn, {})
-            payloads.extend(
-                _txn_payloads(txn, costs, entry.get("keys"), entry.get("results"))
-            )
+            entry = self.keyed.get(txn)
+            if entry is None:
+                payloads.extend(_txn_payloads(txn, costs))
+                continue
+            heads, entries = entry["heads"], entry["results"]
+            if heads is None:
+                heads = []
+                entries = [None if result is None else {"value": result}
+                           for result in entries]
+            payloads.extend(_txn_payloads(txn, costs, entry["keys"], heads, entries))
         return payloads
 
     def compacted(self, payloads):
@@ -1135,7 +1250,7 @@ class DurableAccountant(BudgetAccountant):
         idempotency ``key``, or ``None`` if no keyed spend with that key
         has committed."""
         self.sync()
-        return self._fold.lookup(key)
+        return stored_result_record(self._fold.lookup(key))
 
     def _sync_records(self):
         """Refresh the mirror from the store: fold only the new records
@@ -1223,18 +1338,18 @@ class DurableAccountant(BudgetAccountant):
                         "charged requests"
                     )
                 keys = [requests[position][1] for position in fresh]
-                stored_results = None
+                heads = entries = None
                 if any(key is not None for key in keys):
-                    stored_results = [
+                    heads, entries = _encode_results([
                         payload if key is not None else None
                         for key, payload in zip(keys, payloads)
-                    ]
+                    ])
                 else:
                     keys = None
                 txn = _txn_id()
                 committed_costs = [_committed_cost(cost) for cost in validated]
                 intent, commit = _txn_payloads(
-                    txn, committed_costs, keys, stored_results
+                    txn, committed_costs, keys, heads, entries
                 )
                 self._store.append(intent, point="ledger.intent")
                 self._store.append(commit, point="ledger.commit")
@@ -1253,7 +1368,7 @@ class DurableAccountant(BudgetAccountant):
             # The inner state already includes this spend (admitted above);
             # fold the two appended records so the next sync resumes past
             # them instead of re-applying.
-            self._fold.mirror(txn, committed_costs, keys, stored_results)
+            self._fold.mirror(txn, committed_costs, keys, commit)
         if realized_out is not None:
             realized_out.extend(realized)
         if (

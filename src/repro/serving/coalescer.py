@@ -39,7 +39,8 @@ Exactly-once additions:
   request is dispatched (one spend, one noise draw) and the single
   result resolves every folded future — two replies, byte-identical.
   Duplicates of an already-dispatched key dedup at the ledger instead
-  (one charge either way).
+  (one charge either way); ``dedup_hits`` counts those ledger replays,
+  once per dispatched request however many waiters folded onto it.
 * **Keyed dispatch is crash-retryable** — a batch in which every request
   carries a key is submitted with ``retry_delivered=True``: a worker
   SIGKILLed after delivery is retried once on another worker, which
@@ -180,11 +181,13 @@ class Coalescer:
         self.sequential_retries = 0
         self.shed_expired = 0
         self.duplicates_folded = 0
+        self.dedup_hits = 0
 
     # -- submission ----------------------------------------------------- #
     async def submit(self, tenant, plan_name, epsilon, switches=None,
                      deadline=None, key=None):
-        """Queue one release request; resolves to the release payload dict.
+        """Queue one release request; resolves to the release's wire JSON
+        (UTF-8 bytes, built by the worker and never decoded here).
         ``deadline`` (monotonic seconds) sheds the request instead of
         dispatching it if it is still pending when the deadline passes.
         ``key`` is an optional idempotency key: a second submission with
@@ -295,8 +298,8 @@ class Coalescer:
                 entry.fail(exc)
             return
         if reply[0] == "ok":
-            for entry, payload in zip(live, reply[1]):
-                entry.resolve(payload)
+            for entry, result in zip(live, reply[1]):
+                self._resolve(entry, result)
             return
         kind, message = reply[1], reply[2]
         if kind == "PrivacyBudgetError" and len(requests) > 1:
@@ -306,6 +309,14 @@ class Coalescer:
             return
         for entry in live:
             entry.fail(RemoteExecutionError(kind, message))
+
+    def _resolve(self, entry, result):
+        """Resolve every waiter of ``entry`` with the release body of the
+        worker's ``(body, deduplicated)`` result."""
+        body, deduplicated = result
+        if deduplicated:
+            self.dedup_hits += 1
+        entry.resolve(body)
 
     async def _sequential(self, key, entries):
         tenant, plan_name = key
@@ -321,7 +332,7 @@ class Coalescer:
                 entry.fail(RemoteExecutionError(type(exc).__name__, str(exc)))
                 continue
             if reply[0] == "ok":
-                entry.resolve(reply[1][0])
+                self._resolve(entry, reply[1][0])
             else:
                 entry.fail(RemoteExecutionError(reply[1], reply[2]))
 

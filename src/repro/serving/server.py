@@ -13,9 +13,11 @@ request's optional ``id`` and are ``{"ok": true, ...}`` or ``{"ok": false,
   every batch a single request). ``key`` is an optional idempotency key:
   repeating it — on a retry, another connection, or after a full restart
   — returns the original noised release with zero additional budget
-  charge (the ledger journals results by key). The dedup marker itself
-  is stripped before the wire so a replayed reply is byte-identical to
-  the original; dedup hits are counted in ``health`` instead.
+  charge (the ledger journals results by key). The release object is
+  the JSON the worker built for it, spliced into the reply line as is:
+  a replay is encoded from the stored values by the same code, so a
+  replayed reply is byte-identical to the original (apart from ``id``);
+  dedup hits are counted in ``health`` instead.
 * ``{"op": "explain", "plan": name, "epsilon": e?}`` — the plan's
   optimizer report (no budget consumed).
 * ``{"op": "budget", "tenant": t}`` — the tenant's ledger state.
@@ -224,9 +226,13 @@ class PlanService:
         self._watch_task = None
         self.shed_overloaded = 0
         self.shed_deadline = 0
-        #: Ledger-level idempotency-key replays served by this process
-        #: (pending-duplicate folds are counted by the coalescer separately).
-        self.dedup_hits = 0
+
+    @property
+    def dedup_hits(self):
+        """Ledger-level idempotency-key replays served by this process,
+        one per dispatched request (pending-duplicate folds are counted
+        by the coalescer separately, as ``duplicates_folded``)."""
+        return self.coalescer.dedup_hits
 
     def _count_shed(self, kind):
         if kind == "overloaded":
@@ -262,6 +268,8 @@ class PlanService:
 
     async def execute(self, tenant, plan_name, epsilon, switches=None,
                       deadline=None, key=None):
+        """One release; returns its wire JSON (UTF-8 bytes) as the worker
+        encoded it — ``json.loads`` gives the client's release dict."""
         _check_tenant(tenant)
         _check_key(key)
         if plan_name not in self._manifest.plans:
@@ -288,17 +296,10 @@ class PlanService:
             )
         self._exec_inflight += 1
         try:
-            payload = await self.coalescer.submit(
+            return await self.coalescer.submit(
                 tenant, plan_name, epsilon, switches, deadline=deadline,
                 key=key,
             )
-            # Strip the out-of-band dedup marker before the payload reaches
-            # the wire: a replayed reply must be byte-identical to the
-            # original. Folded waiters share one payload dict, so only the
-            # first pop sees the flag — the hit is counted exactly once.
-            if payload.pop("deduplicated", False):
-                self.dedup_hits += 1
-            return payload
         finally:
             self._exec_inflight -= 1
 
@@ -385,6 +386,8 @@ class PlanService:
 
     # -- TCP protocol --------------------------------------------------- #
     async def _handle_request(self, request):
+        """The reply to one request: a dict, or for ``execute`` the
+        release's wire JSON bytes (``_respond`` splices them)."""
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "pong": True, "workers": self.pool.size}
@@ -411,11 +414,10 @@ class PlanService:
                         f"deadline_ms must be a non-negative number; got {deadline_ms!r}"
                     )
                 deadline = time.monotonic() + float(deadline_ms) / 1000.0
-            release = await self.execute(
+            return await self.execute(
                 request.get("tenant"), request.get("plan"), epsilon, switches,
                 deadline=deadline, key=request.get("key"),
             )
-            return {"ok": True, "release": release}
         if op == "budget":
             return {"ok": True, "budget": await self.budget(request.get("tenant"))}
         if op == "explain":
@@ -462,8 +464,18 @@ class PlanService:
                 "ok": False, "error": "InternalError",
                 "message": f"{type(exc).__name__}: {exc}",
             }
-        if request_id is not None:
-            response["id"] = request_id
+        if isinstance(response, bytes):
+            # An execute's release, as the worker encoded it: spliced, not
+            # re-encoded — byte-identical to json.dumps of the reply dict.
+            parts = [b'{"ok": true, "release": ', response]
+            if request_id is not None:
+                parts += [b', "id": ', json.dumps(request_id).encode("utf-8")]
+            parts.append(b"}\n")
+            reply = b"".join(parts)
+        else:
+            if request_id is not None:
+                response["id"] = request_id
+            reply = json.dumps(response).encode("utf-8") + b"\n"
         async with write_lock:
             try:
                 fire("serving.conn.drop")
@@ -473,7 +485,7 @@ class PlanService:
                 writer.transport.abort()
                 return
             try:
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                writer.write(reply)
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):  # client went away
                 pass

@@ -19,10 +19,15 @@ tuples: ``("execute", tenant, plan_name, [(epsilon, switches, key), ...])``
 ``("budget", tenant)``, ``("explain", plan_name, epsilon)``, ``("ping",)``,
 ``("shutdown",)``. Replies are ``("ok", payload)`` or ``("error",
 exception_class_name, message)`` — exceptions never cross the pipe raw, so
-a worker bug cannot poison the parent's unpickler. A worker announces
-itself with one unsolicited ``("ready", info)`` message once its engines
-can serve; the parent only dispatches to workers that completed this
-handshake, so a slow boot is never mistaken for a hang.
+a worker bug cannot poison the parent's unpickler. An ``execute`` payload
+is one ``(body, deduplicated)`` pair per request: ``body`` is the
+release's finished wire JSON (UTF-8 bytes, see :func:`reply_bodies`) and
+``deduplicated`` whether the ledger answered it from a stored key. The
+parent never decodes a body: the server splices it into the reply line.
+A worker announces itself with one unsolicited ``("ready", info)``
+message once its engines can serve; the parent only dispatches to
+workers that completed this handshake, so a slow boot is never mistaken
+for a hang.
 
 :class:`WorkerPool` is the parent-side supervisor. Each of the ``workers``
 **slots** owns at most one live worker process at a time; a supervisor
@@ -55,6 +60,8 @@ one) keep the value they had when the forkserver launched.
 from __future__ import annotations
 
 import atexit
+import gc
+import json
 import multiprocessing
 import os
 import queue as queue_module
@@ -245,27 +252,53 @@ def _tenant_seed(base, worker_index, tenant):
     return int.from_bytes(digest[:8], "big")
 
 
-def _release_payload(release):
-    """JSON-able wire form of one Release (the audit log keeps the full
-    object worker-side; the wire carries what a client can use).
+def _head_key(release, cost):
+    """A hashable key for the part of a release's wire JSON fixed by its
+    plan and cost (the cost record is a flat dict; a list member, the
+    subsampled ``charged`` pair, is keyed by its JSON)."""
+    items = None if cost is None else tuple(
+        (name, json.dumps(value) if isinstance(value, list) else value)
+        for name, value in cost.items()
+    )
+    return (release.mechanism, release.epsilon, release.delta,
+            release.expected_error, items)
 
-    ``deduplicated`` is out-of-band dispatch metadata — the server pops it
-    into its dedup-hit counters before the payload reaches the wire, so a
-    replayed release stays byte-identical to the original reply."""
-    return {
-        "values": release.answers.tolist(),
-        "mechanism": release.mechanism,
-        "epsilon": release.epsilon,
-        "delta": release.delta,
-        "expected_error": release.expected_error,
-        # The typed NoiseCost record charged for this release (family,
-        # base (epsilon, delta), noise magnitude, sample rate, and the
-        # amplified "charged" pair for subsampled releases) — what a
-        # client audits against its own budget expectations.
-        "cost": release.metadata.get("cost"),
-        "realized": release.metadata.get("realized"),
-        "deduplicated": bool(release.metadata.get("deduplicated")),
-    }
+
+def reply_bodies(releases):
+    """Each Release's wire JSON, as ``(body, deduplicated)`` pairs.
+
+    ``body`` is byte-identical to ``json.dumps`` of the dict ``{"values",
+    "mechanism", "epsilon", "delta", "expected_error", "cost",
+    "realized"}`` — what a client can use; the audit log keeps the full
+    object worker-side. ``cost`` is the typed NoiseCost record charged
+    (family, base (epsilon, delta), noise magnitude, sample rate, and the
+    amplified ``charged`` pair for subsampled releases). The part fixed by
+    the plan and cost is encoded once per distinct value in the batch;
+    per release only ``values`` and ``realized`` are formatted. A replay
+    comes through here from its stored values, so a same-key retry is
+    byte-identical to the original reply."""
+    heads = {}
+    bodies = []
+    for release in releases:
+        metadata = release.metadata
+        cost = metadata.get("cost")
+        key = _head_key(release, cost)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = json.dumps({
+                "mechanism": release.mechanism,
+                "epsilon": release.epsilon,
+                "delta": release.delta,
+                "expected_error": release.expected_error,
+                "cost": cost,
+            })[1:-1].encode("utf-8")
+        body = b'{"values": %s, %s, "realized": %s}' % (
+            json.dumps(release.answers.tolist()).encode("utf-8"),
+            head,
+            json.dumps(metadata.get("realized")).encode("utf-8"),
+        )
+        bodies.append((body, bool(metadata.get("deduplicated"))))
+    return bodies
 
 
 class _WorkerState:
@@ -310,7 +343,7 @@ class _WorkerState:
         # already-charged keys from the durable result journal instead of
         # spending again.
         releases = engine.execute_many([(plan, *request) for request in requests])
-        return [_release_payload(release) for release in releases]
+        return reply_bodies(releases)
 
     def budget(self, tenant):
         engine = self.engine(tenant)
@@ -348,6 +381,10 @@ class _WorkerState:
 
 def worker_main(connection, config, worker_index):
     """Worker process entry point: blocking command loop over the pipe."""
+    # Everything inherited from the forkserver (the preloaded modules) is
+    # long-lived: move it to the permanent generation so no collection
+    # writes to its object headers, which would copy the shared pages.
+    gc.freeze()
     from repro.testing.faults import failpoints, fire
 
     failpoints.load_environ()

@@ -352,7 +352,10 @@ class _RecordingPool:
     def submit(self, command, timeout=None, retry_delivered=False):
         self.commands.append((command, retry_delivered))
         _, tenant, plan, requests = command
-        return ("ok", [{"epsilon": req[0], "n": len(self.commands)} for req in requests])
+        return ("ok", [
+            (json.dumps({"epsilon": req[0], "n": len(self.commands)}).encode(), False)
+            for req in requests
+        ])
 
 
 class TestCoalescerFolding:
@@ -405,7 +408,9 @@ class _GatedPool:
         self.commands.append(command)
         self.gate.wait(10.0)
         _, tenant, plan, requests = command
-        return ("ok", [{"epsilon": req[0]} for req in requests])
+        return ("ok", [
+            (json.dumps({"epsilon": req[0]}).encode(), False) for req in requests
+        ])
 
 
 class TestCoalescerFairness:

@@ -177,7 +177,9 @@ class TestSupervision:
                 health = await service.health()
                 os.kill(health["slots"][0]["pid"], signal.SIGKILL)
                 killed = time.monotonic()
-                release = await service.execute("alice", "related", 0.05, key="after")
+                release = json.loads(
+                    await service.execute("alice", "related", 0.05, key="after")
+                )
                 elapsed = time.monotonic() - killed
                 health = await service.health()
             finally:
@@ -330,7 +332,9 @@ class TestLoadShedding:
                 self.commands.append(command)
                 _, tenant, plan, requests = command
                 time.sleep(0.15)  # the batch the expired member would join
-                return ("ok", [{"epsilon": req[0]} for req in requests])
+                return ("ok", [
+                    (json.dumps({"epsilon": req[0]}).encode(), False) for req in requests
+                ])
 
         async def scenario():
             pool = _SlowPool()
@@ -341,7 +345,9 @@ class TestLoadShedding:
                 coalescer.submit("alice", "related", 0.02, deadline=now - 0.001),
                 return_exceptions=True,
             )
-            return pool, coalescer, results
+            return pool, coalescer, [
+                json.loads(r) if isinstance(r, bytes) else r for r in results
+            ]
 
         pool, coalescer, results = asyncio.run(scenario())
         assert isinstance(results[0], dict)

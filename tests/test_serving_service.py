@@ -26,6 +26,7 @@ tests.
 """
 
 import asyncio
+import json
 import multiprocessing
 import threading
 
@@ -137,6 +138,7 @@ class TestWorkerPool:
                 ("execute", "alice", "related", [(0.05, {}), (0.05, {"integral": True})])
             )
             assert status == "ok" and len(releases) == 2
+            releases = [json.loads(body) for body, _ in releases]
             assert len(releases[0]["values"]) == 8
             assert all(float(v).is_integer() for v in releases[1]["values"])
 
@@ -184,10 +186,17 @@ class _FakePool:
         return (
             "ok",
             [
-                {"tenant": tenant, "plan": plan_name, "epsilon": request[0]}
+                (json.dumps(
+                    {"tenant": tenant, "plan": plan_name, "epsilon": request[0]}
+                ).encode("utf-8"), False)
                 for request in requests
             ],
         )
+
+
+def _decoded(results):
+    """Release bodies decoded (exceptions passed through)."""
+    return [json.loads(r) if isinstance(r, bytes) else r for r in results]
 
 
 class _GatedPool(_FakePool):
@@ -231,7 +240,7 @@ class TestCoalescer:
             results = await asyncio.gather(
                 *[coalescer.submit("alice", "related", e) for e in epsilons]
             )
-            return pool, coalescer, epsilons, results
+            return pool, coalescer, epsilons, _decoded(results)
 
         pool, coalescer, epsilons, results = asyncio.run(scenario())
         assert coalescer.batches_flushed == 1
@@ -263,7 +272,7 @@ class TestCoalescer:
                 *[coalescer.submit("alice", "related", 0.1) for _ in range(5)],
                 return_exceptions=True,
             )
-            return coalescer, results
+            return coalescer, _decoded(results)
 
         coalescer, results = asyncio.run(scenario())
         served = [r for r in results if isinstance(r, dict)]
@@ -291,7 +300,7 @@ class TestCoalescer:
             pool = _FakePool()
             coalescer = Coalescer(pool, max_batch=32, max_concurrent=1)
             result = await coalescer.submit("alice", "related", 0.01)
-            return pool, delays, result
+            return pool, delays, json.loads(result)
 
         pool, delays, result = asyncio.run(scenario())
         assert result["epsilon"] == 0.01
@@ -316,7 +325,7 @@ class TestCoalescer:
             assert len(pool.commands) == 1
             pool.admit(2)
             results = await asyncio.gather(first, *later)
-            return pool, coalescer, results
+            return pool, coalescer, _decoded(results)
 
         pool, coalescer, results = asyncio.run(scenario())
         assert [len(command[3]) for command in pool.commands] == [1, 3]
@@ -339,7 +348,7 @@ class TestCoalescer:
             pool.admit(4)
             results = await asyncio.gather(*tasks)
             await blocker
-            return pool, results
+            return pool, _decoded(results)
 
         pool, results = asyncio.run(scenario())
         slices = [[request[0] for request in command[3]] for command in pool.commands[1:]]
@@ -407,7 +416,7 @@ class TestCoalescer:
             await drain
             assert blocker.done() and all(task.done() for task in tasks)
             results = await asyncio.gather(*tasks)
-            return pool, coalescer, results
+            return pool, coalescer, _decoded(results)
 
         pool, coalescer, results = asyncio.run(scenario())
         assert len(results) == 3 and all(r["epsilon"] == 0.01 for r in results)
@@ -493,7 +502,7 @@ class TestServiceEndToEnd:
                 assert excinfo.value.kind == "WorkerCrashError"
 
                 # the service keeps serving on the surviving + respawned workers
-                release = await service.execute("alice", "related", 0.05)
+                release = json.loads(await service.execute("alice", "related", 0.05))
                 assert len(release["values"]) == 8
                 budget = await service.budget("alice")
             finally:
