@@ -20,6 +20,16 @@ abstracts both behind one interface:
   (eps, delta_total) guarantee on every admission check. Far tighter than
   basic composition for many Gaussian releases (see :mod:`repro.privacy.rdp`).
 
+**One spend transaction.** ``spend``, ``spend_many`` and ``spend_keyed``
+all run ``BudgetAccountant._transact``: answer stored keys and fold
+in-call duplicates, admit the fresh costs all-or-nothing, produce one
+result per charged request, record them; any failure after admission
+rolls the state back. Storage plugs in through three hooks:
+``_transaction()`` (a context manager around it), ``_lookup(key)`` and
+``_record(validated, keys, payloads)`` — in memory a null context and a
+dict, in :class:`repro.privacy.ledger.DurableAccountant` the store's lock,
+the replayed dedup index and the journaled intent/commit pair.
+
 The ledger *state* is an opaque value managed through the ``_ledger_state``
 / ``_fits_state`` / ``_commit_state`` hooks — a scalar ``(spent_epsilon,
 spent_delta)`` pair for the two composition-by-addition accountants, an RDP
@@ -54,11 +64,12 @@ succeeds and leaves ``remaining_epsilon == 0.0`` exactly (no
 from __future__ import annotations
 
 import abc
+import contextlib
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.exceptions import PrivacyBudgetError, ReproError
+from repro.exceptions import LedgerError, PrivacyBudgetError, ReproError
 from repro.linalg.validation import check_positive
 from repro.privacy.cost import NoiseCost, as_spend_cost, charged_pair, cost_record
 
@@ -99,50 +110,6 @@ class StoredRelease(NamedTuple):
         }
 
 
-def stored_result_record(result):
-    """``result_for``'s view of a stored result: a :class:`StoredRelease`
-    as its JSON form, anything else as stored."""
-    return result.to_record() if isinstance(result, StoredRelease) else result
-
-
-def partition_keyed(requests, lookup):
-    """Split ``spend_keyed`` requests ``[(cost, key), ...]`` three ways.
-
-    Returns ``(results, fresh, folds)``. ``results`` is aligned with
-    ``requests``: ``(stored, True)`` at each stored hit (``lookup(key)``
-    returned a result), ``None`` elsewhere. ``fresh`` lists the positions
-    to charge, in request order: every unkeyed request and the first
-    request of each new key. ``folds`` pairs each later in-call duplicate
-    of a fresh key with that key's index into ``fresh``.
-    """
-    results = [None] * len(requests)
-    fresh = []
-    folds = []
-    first = {}  # key -> index into fresh
-    for position, (_, key) in enumerate(requests):
-        stored = None if key is None else lookup(key)
-        if stored is not None:
-            results[position] = (stored, True)
-        elif key in first:
-            folds.append((position, first[key]))
-        else:
-            if key is not None:
-                first[key] = len(fresh)
-            fresh.append(position)
-    return results, fresh, folds
-
-
-def settle_keyed(results, fresh, folds, payloads):
-    """Fill a :func:`partition_keyed` result list with the ``payloads``
-    produced for ``fresh``: ``(payload, False)`` at each charged position,
-    ``(payload, True)`` at each fold."""
-    for position, payload in zip(fresh, payloads):
-        results[position] = (payload, False)
-    for position, index in folds:
-        results[position] = (payloads[index], True)
-    return results
-
-
 def _check_delta(delta, name="delta"):
     delta = float(delta)
     if delta < 0.0:
@@ -157,9 +124,11 @@ class BudgetAccountant(abc.ABC):
 
     Subclasses define one composition rule via :meth:`_validate_cost` (and,
     for non-additive rules, the ledger-state hooks); the base class owns
-    the protocol: spend tracking, the atomic :meth:`spend_many`, the
-    exactly-once :meth:`spend_keyed` (which rolls its own charge back
-    when ``produce`` fails) and the reporting properties.
+    the protocol: spend tracking, the one spend transaction behind
+    :meth:`spend`, the atomic :meth:`spend_many` and the exactly-once
+    :meth:`spend_keyed` (which rolls its own charge back when ``produce``
+    fails), and the reporting properties. A durable ledger overrides the
+    transaction's storage hooks and :meth:`sync`/:meth:`close`.
     """
 
     #: Short label recorded in release audit metadata.
@@ -314,6 +283,7 @@ class BudgetAccountant(abc.ABC):
         accountant) answers False rather than raising — this is a
         predicate, not a spend.
         """
+        self.sync()
         try:
             cost = self._validate(as_spend_cost(cost, delta))
         except ReproError:
@@ -331,7 +301,7 @@ class BudgetAccountant(abc.ABC):
         ledger untouched) when the cost is invalid or would exceed the
         budget.
         """
-        return self._admit([as_spend_cost(cost, delta)], many=False)[0]
+        return self._transact([(as_spend_cost(cost, delta), None)], many=False)[0][0]
 
     def spend_many(self, costs, realized_out=None):
         """Atomically consume a batch of costs (pairs or NoiseCosts).
@@ -347,13 +317,16 @@ class BudgetAccountant(abc.ABC):
         to what a loop of :meth:`spend` calls would have read off the
         properties, since admission simulates exactly that loop.
         """
-        return self._admit(costs, realized_out)
+        return self._transact(
+            [(cost, None) for cost in costs], many=True, realized_out=realized_out
+        )[0]
 
-    def _admit(self, costs, realized_out=None, many=True):
-        """The one admission behind :meth:`spend`, :meth:`spend_many` and
-        :meth:`spend_keyed`: charge ``costs`` all-or-nothing and return
-        them validated. ``many=False`` words a refusal as ``spend``'s
-        single-cost message instead of the batch one."""
+    def _admit(self, costs, realized, many):
+        """The admission step of :meth:`_transact`: charge ``costs``
+        all-or-nothing and return them validated. ``many=False`` words a
+        refusal as ``spend``'s single-cost message instead of the batch
+        one. ``realized`` (a list, or ``None``) receives the cumulative
+        spent pair after each cost."""
         # Serving batches are typically many releases at a handful of
         # distinct costs; validate each distinct cost once (validation is
         # pure in the cost). NoiseCost is frozen/hashable, so typed costs
@@ -378,7 +351,6 @@ class BudgetAccountant(abc.ABC):
         # simulated state is assigned only after every cost fits, keeping
         # the charge all-or-nothing.
         state = self._ledger_state()
-        realized = []
         for index, cost in enumerate(validated):
             if not self._fits_state(cost, state):
                 epsilon, delta = charged_pair(cost)
@@ -402,17 +374,18 @@ class BudgetAccountant(abc.ABC):
                     f"would remain at that point {remaining}"
                 )
             state = self._commit_state(cost, state)
-            if realized_out is not None:
+            if realized is not None:
                 realized.append(self._state_spent(state))
         self._set_ledger_state(state)
-        if realized_out is not None:
-            realized_out.extend(realized)
         return validated
 
     def result_for(self, key):
-        """The stored result of the keyed spend that charged ``key``, or
-        ``None`` if no keyed spend with that key has committed."""
-        return stored_result_record(self._stored_results.get(key))
+        """The stored result of the keyed spend that charged ``key`` (a
+        stored release as its JSON form), or ``None`` if no keyed spend
+        with that key has committed."""
+        self.sync()
+        result = self._lookup(key)
+        return result.to_record() if isinstance(result, StoredRelease) else result
 
     def spend_keyed(self, requests, produce):
         """Exactly-once spend: charge each request at most once per key.
@@ -425,35 +398,101 @@ class BudgetAccountant(abc.ABC):
         ``produce(positions, realized)`` — the request indices just
         charged and their realized cumulative ``(spent_epsilon,
         spent_delta)`` — returns one result per position, which is stored
-        under its key. If ``produce`` raises, the charge is rolled back:
-        its results were never exposed. Returns a list aligned with
-        ``requests`` of ``(result, deduped)`` pairs.
-
-        This base version keeps its result journal in memory, for the
-        life of the accountant;
-        :meth:`repro.privacy.ledger.DurableAccountant.spend_keyed` runs
-        the same transaction against a durable ledger.
+        under its key. If ``produce`` raises, or returns the wrong number
+        of results (:class:`~repro.exceptions.LedgerError`), the charge is
+        rolled back and no key is stored: its results were never exposed.
+        Returns a list aligned with ``requests`` of ``(result, deduped)``
+        pairs.
         """
-        results, fresh, folds = partition_keyed(requests, self._stored_results.get)
-        self.dedup_hits += len(requests) - len(fresh)
-        if not fresh:
-            return results
-        before = self._ledger_state()
-        realized = []
-        self._admit(
-            [requests[position][0] for position in fresh], realized,
-            many=len(fresh) > 1,
-        )
-        try:
-            payloads = list(produce(list(fresh), realized))
-        except BaseException:
-            self._set_ledger_state(before)
-            raise
-        for position, payload in zip(fresh, payloads):
-            key = requests[position][1]
+        return self._transact(requests, produce)[1]
+
+    # ------------------------------------------------------------------ #
+    # The one spend transaction and its three storage hooks
+    # ------------------------------------------------------------------ #
+    def _transaction(self):
+        """Context manager around one spend transaction. In memory there is
+        nothing to lock, sync or checkpoint."""
+        return contextlib.nullcontext()
+
+    def _lookup(self, key):
+        """The stored result for idempotency ``key``, or ``None``."""
+        return self._stored_results.get(key)
+
+    def _record(self, validated, keys, payloads):
+        """Make an admitted spend permanent: store each keyed payload.
+        ``validated`` are the charged costs, ``keys`` and ``payloads``
+        aligned with them."""
+        for key, payload in zip(keys, payloads):
             if key is not None:
                 self._stored_results[key] = payload
-        return settle_keyed(results, fresh, folds, payloads)
+
+    def _transact(self, requests, produce=None, many=None, realized_out=None):
+        """The one spend transaction behind :meth:`spend`,
+        :meth:`spend_many` and :meth:`spend_keyed` (see the module
+        docstring). ``produce=None`` builds no results. ``many`` picks
+        ``spend``'s or ``spend_many``'s refusal wording; ``None`` picks
+        by fresh count and charges nothing when every request is a stored
+        hit. Returns ``(validated costs, results aligned with
+        requests)``."""
+        before = None
+        try:
+            with self._transaction():
+                results = [None] * len(requests)
+                fresh = []  # positions to charge, in request order
+                folds = []  # (position, index into fresh) of in-call duplicates
+                first = {}  # key -> index into fresh
+                for position, (_, key) in enumerate(requests):
+                    stored = None if key is None else self._lookup(key)
+                    if stored is not None:
+                        results[position] = (stored, True)
+                    elif key in first:
+                        folds.append((position, first[key]))
+                    else:
+                        if key is not None:
+                            first[key] = len(fresh)
+                        fresh.append(position)
+                self.dedup_hits += len(requests) - len(fresh)
+                if not fresh and many is None:
+                    return [], results
+                state = self._ledger_state()
+                realized = None if produce is None and realized_out is None else []
+                validated = self._admit(
+                    [requests[position][0] for position in fresh], realized,
+                    many=len(fresh) > 1 if many is None else many,
+                )
+                before = state  # admitted: any failure from here rolls back
+                if produce is None:
+                    payloads = [None] * len(fresh)
+                else:
+                    payloads = list(produce(list(fresh), list(realized)))
+                if len(payloads) != len(fresh):
+                    raise LedgerError(
+                        "spend_keyed produce() returned "
+                        f"{len(payloads)} results for {len(fresh)} "
+                        "charged requests"
+                    )
+                self._record(
+                    validated, [requests[position][1] for position in fresh], payloads
+                )
+        except BaseException:
+            if before is not None:
+                self._set_ledger_state(before)
+            raise
+        if realized_out is not None:
+            realized_out.extend(realized)
+        for position, payload in zip(fresh, payloads):
+            results[position] = (payload, False)
+        for position, index in folds:
+            results[position] = (payloads[index], True)
+        return validated, results
+
+    def sync(self):
+        """Refresh the ledger state from its backing store; returns
+        ``self``. In memory the state is always current."""
+        return self
+
+    def close(self):
+        """Release the backing store's resources (none in memory)."""
 
     def reset(self):
         """Forget all spending and every stored keyed result (useful

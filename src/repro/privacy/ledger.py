@@ -30,6 +30,16 @@ against both failure modes:
   every registered failpoint on the write path
   (:func:`repro.testing.faults.ledger_write_failpoints`).
 
+**One transaction, three hooks.** The spend transaction itself is
+:class:`~repro.privacy.accountant.BudgetAccountant`'s, shared with the
+in-memory accountants; :class:`DurableAccountant` plugs the ledger in
+through ``_transaction()`` (the store's lock, sync and meta check, then
+the checkpoint), ``_lookup(key)`` (the fold's dedup index) and
+``_record(validated, keys, payloads)`` (append intent + commit, mirror
+them). A failure after admission, the store's own commit included, rolls
+the mirror back and drops the tail cursor, so the next sync re-reads the
+stream.
+
 **Bit-identical replay.** The journal stores *costs*, not states: replay
 rebuilds the ledger by pushing each committed cost through the inner
 accountant's ``_commit_state`` hook in commit order — exactly the
@@ -59,8 +69,8 @@ durable undo naming transactions to excise from replay); they are read
 for compatibility and no longer written — a spend whose release fails
 journals nothing, so there is nothing to undo.
 
-**Exactly-once releases.** :meth:`DurableAccountant.spend_keyed` extends
-the intent/commit protocol into a durable *result journal*: the intent
+**Exactly-once releases.** A durable ``spend_keyed`` extends the
+intent/commit protocol into a durable *result journal*: the intent
 record carries the caller's idempotency ``keys`` and the commit record
 stores the released ``results`` (checksummed like every record), so a
 retried key — in-flight, after a SIGKILL, or after a full restart —
@@ -128,17 +138,9 @@ from repro.exceptions import (
     PrivacyBudgetError,
 )
 from repro.io.atomic import RetryPolicy, fsync_directory, retry_with_backoff
-from repro.privacy.accountant import (
-    BudgetAccountant,
-    StoredRelease,
-    make_accountant,
-    partition_keyed,
-    settle_keyed,
-    stored_result_record,
-)
+from repro.privacy.accountant import BudgetAccountant, StoredRelease, make_accountant
 from repro.privacy.cost import (
     NoiseCost,
-    as_spend_cost,
     charged_pair,
     cost_from_record,
     cost_record,
@@ -706,27 +708,28 @@ class SQLiteStore(LedgerStore):
             ) from exc
         self._in_txn = True
         self._txn_guarded = False
+        # The txn failpoints cover the spend protocol's point of no
+        # return; fire them only for transactions that wrote guarded
+        # (spend-path) records, not for opens/scans, so the crash matrix
+        # kills the worker mid-spend rather than mid-open. A failed COMMIT
+        # (or its failpoint) rolls back like a failed body: otherwise the
+        # connection would stay inside the transaction and every later
+        # BEGIN IMMEDIATE would fail.
         try:
             yield self
-        except BaseException:
-            self._in_txn = False
-            try:
-                self._conn.execute("ROLLBACK")
-            except sqlite3.OperationalError:  # pragma: no cover
-                pass
-            raise
-        else:
-            self._in_txn = False
-            # The txn failpoints cover the spend protocol's point of no
-            # return; fire them only for transactions that wrote guarded
-            # (spend-path) records, not for opens/scans, so the crash
-            # matrix kills the worker mid-spend rather than mid-open.
-            guarded = self._txn_guarded
-            if guarded:
+            if self._txn_guarded:
                 fire("sqlite.txn.before_commit")
             self._conn.execute("COMMIT")
-            if guarded:
-                fire("sqlite.txn.after_commit")
+        except BaseException:
+            try:
+                self._conn.execute("ROLLBACK")
+            except sqlite3.OperationalError:  # no transaction left to roll back
+                pass
+            raise
+        finally:
+            self._in_txn = False
+        if self._txn_guarded:
+            fire("sqlite.txn.after_commit")
 
     def scan(self):
         rows = self._conn.execute(
@@ -1099,15 +1102,16 @@ class DurableAccountant(BudgetAccountant):
     reporting) delegates to the wrapped ``accountant`` — this class adds
     only durability and mutual exclusion:
 
-    * ``spend``/``spend_many``/``spend_keyed`` are one transaction under
-      the store's exclusive cross-process lock: replay any records other
-      processes committed, admit against that synced state via the inner
-      accountant (preserving its all-or-nothing and float-dust
-      semantics exactly), build the results (keyed spends), then write an
-      ``intent`` record holding the validated costs followed by a
-      ``commit`` marker. Only the commit makes the spend real; the fault
-      matrix kills writers at every instrumented instant and recovery
-      always lands on *pre* or *post*, bit-identically.
+    * ``spend``/``spend_many``/``spend_keyed`` are the base class's one
+      transaction, run through this class's three hooks under the
+      store's exclusive cross-process lock: replay any records other
+      processes committed, admit against that synced state with the
+      inner accountant's arithmetic (preserving its all-or-nothing and
+      float-dust semantics exactly), build the results (keyed spends),
+      then write an ``intent`` record holding the validated costs
+      followed by a ``commit`` marker. Only the commit makes the spend
+      real; the fault matrix kills writers at every instrumented instant
+      and recovery always lands on *pre* or *post*, bit-identically.
     * Read properties (``spent_epsilon`` …) serve the last synced state
       without touching the disk; ``can_spend`` and :meth:`sync` refresh
       from the store first (lock-free — committed records only).
@@ -1167,9 +1171,9 @@ class DurableAccountant(BudgetAccountant):
         self._fold = None
         # Fold lock-free first: the read sets the tail cursor, so the
         # transaction's repair and sync decode only what came after it.
-        self._sync_records()
+        self.sync()
         with self._store.transact():
-            self._sync_records()
+            self.sync()
             if self._fold.meta is None:
                 # First open of an empty stream (the fold refuses records
                 # before a meta header): write the header. The store's
@@ -1245,28 +1249,19 @@ class DurableAccountant(BudgetAccountant):
             )
 
     # -- incremental replay ------------------------------------------ #
-    def result_for(self, key):
-        """Sync from the store and return the durably stored result for
-        idempotency ``key``, or ``None`` if no keyed spend with that key
-        has committed."""
-        self.sync()
-        return stored_result_record(self._fold.lookup(key))
-
-    def _sync_records(self):
-        """Refresh the mirror from the store: fold only the new records
-        when the store's tail cursor verifies, otherwise start a fresh
-        fold over the whole stream. Every ambiguous write failure drops
-        the cursor on the spot (see :meth:`LedgerStore.invalidate_cursor`),
-        before the next transaction's torn-tail repair could trust it."""
+    def sync(self):
+        """Refresh the mirror from the store; returns ``self``. Folds only
+        the new records when the store's tail cursor verifies, otherwise
+        starts a fresh fold over the whole stream. Every ambiguous write
+        failure drops the cursor on the spot (see
+        :meth:`LedgerStore.invalidate_cursor`), before the next
+        transaction's torn-tail repair could trust it. Outside a
+        transaction this is a lock-free read of committed records (a
+        concurrent writer's torn tail is ignored)."""
         records, _, resumed = self._store.scan_new()
         if not resumed:
             self._fold = _LedgerFold(self._store.path, self._inner, self._check_meta)
         self._fold.apply(records)
-
-    def sync(self):
-        """Refresh the in-memory mirror from the store (lock-free read of
-        committed records; a concurrent writer's torn tail is ignored)."""
-        self._sync_records()
         return self
 
     # -- delegation: one composition rule, the inner one --------------- #
@@ -1291,92 +1286,58 @@ class DurableAccountant(BudgetAccountant):
     def _commit_state(self, cost, state):
         return self._inner._commit_state(cost, state)
 
-    def can_spend(self, cost, delta=0.0):
-        self.sync()
-        return self._inner.can_spend(cost, delta)
-
-    # -- the durable spend path ---------------------------------------- #
-    def _transact(self, requests, produce=None, many=None, realized_out=None):
-        """The one durable spend transaction behind :meth:`spend`,
-        :meth:`spend_many` and :meth:`spend_keyed`.
-
-        Under the store's exclusive lock: sync, answer stored keys from
-        the result journal, admit the fresh costs through the inner
-        accountant, build their results with ``produce`` (``None``: no
-        results), and only then journal one ``intent`` (costs, and keys
-        when any) plus one ``commit`` (results, when keyed). An admission
-        refusal propagates with nothing charged; any later failure rolls
-        the mirror back. ``many`` (``None``: by fresh count) picks
-        ``spend``'s or ``spend_many``'s refusal wording. Returns
-        ``(validated costs, results)``.
-        """
-        with self._store.transact():
-            self._sync_records()
-            if self._fold.meta is None:
-                raise LedgerCorruptError(
-                    f"budget ledger {self._store.path} has no meta header"
-                )
-            results, fresh, folds = partition_keyed(requests, self._fold.lookup)
-            self.dedup_hits += len(requests) - len(fresh)
-            if not fresh and many is None:
-                return [], results
-            before = self._inner._ledger_state()
-            realized = []
-            validated = self._inner._admit(
-                [requests[position][0] for position in fresh], realized,
-                many=len(fresh) > 1 if many is None else many,
-            )
-            try:
-                if produce is None:
-                    payloads = [None] * len(fresh)
-                else:
-                    payloads = list(produce(list(fresh), list(realized)))
-                if len(payloads) != len(fresh):
-                    raise LedgerError(
-                        "spend_keyed produce() returned "
-                        f"{len(payloads)} results for {len(fresh)} "
-                        "charged requests"
+    # -- the spend transaction's storage hooks ------------------------- #
+    @contextmanager
+    def _transaction(self):
+        """The store's exclusive transaction around one spend: sync and
+        check the meta header on entry, checkpoint after a successful
+        exit. A failure once :meth:`_record` has started writing drops the
+        tail cursor (the caller rolls the mirror back): what reached the
+        stream depends on the backend and the instant (a dangling intent,
+        both records, a committed or a rolled-back sqlite transaction),
+        so the next sync re-reads it instead of trusting the cursor."""
+        self._writing = False
+        try:
+            with self._store.transact():
+                self.sync()
+                if self._fold.meta is None:
+                    raise LedgerCorruptError(
+                        f"budget ledger {self._store.path} has no meta header"
                     )
-                keys = [requests[position][1] for position in fresh]
-                heads = entries = None
-                if any(key is not None for key in keys):
-                    heads, entries = _encode_results([
-                        payload if key is not None else None
-                        for key, payload in zip(keys, payloads)
-                    ])
-                else:
-                    keys = None
-                txn = _txn_id()
-                committed_costs = [_committed_cost(cost) for cost in validated]
-                intent, commit = _txn_payloads(
-                    txn, committed_costs, keys, heads, entries
-                )
-                self._store.append(intent, point="ledger.intent")
-                self._store.append(commit, point="ledger.commit")
-            except BaseException:
-                # Charged but not durably committed (a produce() or write
-                # failure). What reached the stream is backend- and
-                # instant-specific (a durable dangling intent, both
-                # records, or — after a sqlite rollback — nothing), so
-                # roll the mirror back to the synced pre-spend state and
-                # drop the cursor: the next transaction rescans from
-                # scratch instead of trusting a cursor that may disagree
-                # with the mirror in either direction.
-                self._inner._set_ledger_state(before)
+                yield
+            if (
+                self._compact_every is not None
+                and self._fold.records > self._compact_every
+            ):
+                self._maybe_checkpoint()
+        except BaseException:
+            if self._writing:
                 self._store.invalidate_cursor()
-                raise
-            # The inner state already includes this spend (admitted above);
-            # fold the two appended records so the next sync resumes past
-            # them instead of re-applying.
-            self._fold.mirror(txn, committed_costs, keys, commit)
-        if realized_out is not None:
-            realized_out.extend(realized)
-        if (
-            self._compact_every is not None
-            and self._fold.records > self._compact_every
-        ):
-            self._maybe_checkpoint()
-        return validated, settle_keyed(results, fresh, folds, payloads)
+            raise
+
+    def _lookup(self, key):
+        return self._fold.lookup(key)
+
+    def _record(self, validated, keys, payloads):
+        """Journal an admitted spend: one ``intent`` (the costs, and the
+        keys when any is set) and one ``commit`` (the encoded results of
+        the keyed positions), then fold the pair into the mirror without
+        re-reading it — the inner state already includes the spend."""
+        heads = entries = None
+        if any(key is not None for key in keys):
+            heads, entries = _encode_results([
+                payload if key is not None else None
+                for key, payload in zip(keys, payloads)
+            ])
+        else:
+            keys = None
+        txn = _txn_id()
+        costs = [_committed_cost(cost) for cost in validated]
+        intent, commit = _txn_payloads(txn, costs, keys, heads, entries)
+        self._writing = True
+        self._store.append(intent, point="ledger.intent")
+        self._store.append(commit, point="ledger.commit")
+        self._fold.mirror(txn, costs, keys, commit)
 
     def _maybe_checkpoint(self):
         """Checkpoint compaction: rewrite the stream as ``meta`` + one
@@ -1391,7 +1352,7 @@ class DurableAccountant(BudgetAccountant):
         replace / sqlite rollback) and the next spend simply retries."""
         try:
             with self._store.transact():
-                self._sync_records()
+                self.sync()
                 if self._fold.meta is None or self._fold.records <= self._compact_every:
                     return
                 payloads = self._fold.compaction_payloads()
@@ -1410,46 +1371,11 @@ class DurableAccountant(BudgetAccountant):
                 exc,
             )
 
-    def spend(self, cost, delta=0.0):
-        return self._transact([(as_spend_cost(cost, delta), None)], many=False)[0][0]
-
-    def spend_many(self, costs, realized_out=None):
-        return self._transact(
-            [(cost, None) for cost in costs], many=True, realized_out=realized_out
-        )[0]
-
-    def spend_keyed(self, requests, produce):
-        """Exactly-once spend: charge each request at most once per key
-        and journal the produced results durably.
-
-        ``requests`` is a list of ``((epsilon, delta), key)`` pairs; a
-        ``key`` of ``None`` opts that request out of deduplication. Under
-        the store's exclusive transaction, every key is first checked
-        against the durable result journal — a hit returns the stored
-        result with **zero additional charge** (two processes racing one
-        key serialize here: one charges, the other replays). The
-        still-fresh requests are charged atomically through the inner
-        accountant, then ``produce(positions, realized)`` is called — with
-        the request indices just charged and their realized cumulative
-        costs — to build the results *before* anything is journaled: one
-        ``intent`` record carrying the keys, then one ``commit`` record
-        carrying the results. A crash before the commit therefore leaves
-        an uncharged ledger and free keys; a crash after it leaves a
-        charged ledger whose results every future retry replays. If
-        ``produce`` raises, nothing is journaled and the mirror is rolled
-        back.
-
-        Duplicate keys *within* one call fold: one charge, the same
-        result returned at every position. Returns a list aligned with
-        ``requests`` of ``(result, deduped)`` pairs.
-        """
-        return self._transact(requests, produce)[1]
-
     def reset(self):
         """Durably forget all spending (journals a ``reset`` record)."""
         with self._store.transact():
             try:
-                self._sync_records()
+                self.sync()
                 record = {"op": "reset"}
                 self._store.append(record)
                 self._fold.apply([record])

@@ -82,6 +82,12 @@ _TENANT_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 #: Post-processing switches accepted on the wire.
 _SWITCHES = ("non_negative", "integral", "consistent")
 
+#: Unfinished reply handlers one connection may have before the server
+#: stops reading its requests (reading resumes when one finishes): a
+#: client that pipelines requests but reads no replies back-pressures
+#: its own connection instead of growing the server's memory.
+MAX_CONNECTION_HANDLERS = 1024
+
 
 class ServiceConfig:
     """Everything a :class:`PlanService` needs, in one picklable bag.
@@ -501,6 +507,8 @@ class PlanService:
         tasks = set()
         try:
             while True:
+                while len(tasks) >= MAX_CONNECTION_HANDLERS:
+                    await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
                 try:
                     line = await reader.readline()
                 except (ConnectionResetError, asyncio.IncompleteReadError):

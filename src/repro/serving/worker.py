@@ -347,10 +347,7 @@ class _WorkerState:
 
     def budget(self, tenant):
         engine = self.engine(tenant)
-        accountant = engine.accountant
-        sync = getattr(accountant, "sync", None)
-        if sync is not None:
-            sync()
+        accountant = engine.accountant.sync()
         return {
             "tenant": tenant,
             "model": accountant.name,
@@ -423,9 +420,7 @@ def worker_main(connection, config, worker_index):
                 connection.send(("error", type(exc).__name__, str(exc)))
     finally:
         for engine in state.engines.values():
-            close = getattr(engine.accountant, "close", None)
-            if close is not None:
-                close()
+            engine.accountant.close()
         state.store.close()
         connection.close()
 

@@ -34,7 +34,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.engine import PrivateQueryEngine
 from repro.engine.plan import build_plan
-from repro.exceptions import PrivacyBudgetError
+from repro.exceptions import LedgerError, PrivacyBudgetError
 from repro.io.serialization import save_plan
 from repro.privacy.accountant import make_accountant
 from repro.privacy.ledger import (
@@ -173,6 +173,22 @@ class TestLedgerKeyedSpend:
         assert acct.result_for("K1") is None
         # The key is free: the retry charges exactly once.
         result, deduped = _spend_one(acct, "K1", tag="retry")
+        assert not deduped and result == _payload("retry")
+        assert acct.spent_epsilon == pytest.approx(0.1)
+        self.close(acct)
+
+    def test_short_produce_charges_nothing(self, tmp_path):
+        # One result for two charged keys: refused, nothing charged, no
+        # key stored — on every backend alike.
+        acct = self.open(tmp_path)
+        with pytest.raises(LedgerError, match="returned 1 results for 2"):
+            acct.spend_keyed(
+                [((0.1, 0.0), "K1"), ((0.1, 0.0), "K2")],
+                lambda positions, realized: [_payload("only")],
+            )
+        assert acct.spent_epsilon == 0.0
+        assert acct.result_for("K1") is None and acct.result_for("K2") is None
+        result, deduped = _spend_one(acct, "K2", tag="retry")
         assert not deduped and result == _payload("retry")
         assert acct.spent_epsilon == pytest.approx(0.1)
         self.close(acct)

@@ -285,6 +285,69 @@ class TestExactExhaustion:
 
 
 # ---------------------------------------------------------------------- #
+# A SQLite COMMIT that fails
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("model", sorted(MODELS))
+class TestSQLiteCommitFailure:
+    """A spend whose SQLite COMMIT fails (``sqlite.txn.before_commit``)
+    rolls the store's transaction back with the mirror, so the mirror
+    matches the disk and the next spend can lock the store; a spend that
+    fails after its COMMIT landed (``sqlite.txn.after_commit``) is read
+    back by the next sync."""
+
+    @staticmethod
+    def spend_keyed(acct, cost, key):
+        [outcome] = acct.spend_keyed(
+            [(cost, key)], lambda positions, realized: [{"key": key}]
+        )
+        return outcome
+
+    @staticmethod
+    def control_state(model, costs):
+        control = fresh_accountant(model)
+        for cost in costs:
+            control.spend(*cost)
+        return control._ledger_state()
+
+    def test_failed_commit_rolls_back_and_the_next_spend_succeeds(
+        self, tmp_path, model
+    ):
+        path = ledger_path(tmp_path, "sqlite")
+        cost = MODELS[model]["costs"][0]
+        acct = open_ledger(path, fresh_accountant(model))
+        untouched = acct._ledger_state()
+        FailPoint.error_at("sqlite.txn.before_commit")
+        with pytest.raises(InjectedFault):
+            self.spend_keyed(acct, cost, "K1")
+        FailPoint.clear()
+        assert states_equal(acct._ledger_state(), untouched)
+        assert states_equal(reopened_state(path, model), untouched)
+        assert acct.result_for("K1") is None
+        assert self.spend_keyed(acct, cost, "K1") == ({"key": "K1"}, False)
+        live = acct._ledger_state()
+        acct.close()
+        assert states_equal(live, self.control_state(model, [cost]))
+        assert states_equal(reopened_state(path, model), live)
+
+    def test_landed_commit_is_read_back_by_the_next_sync(self, tmp_path, model):
+        path = ledger_path(tmp_path, "sqlite")
+        first, second = MODELS[model]["costs"][:2]
+        acct = open_ledger(path, fresh_accountant(model))
+        FailPoint.error_at("sqlite.txn.after_commit")
+        with pytest.raises(InjectedFault):
+            self.spend_keyed(acct, first, "K1")
+        FailPoint.clear()
+        acct.sync()
+        assert states_equal(acct._ledger_state(), self.control_state(model, [first]))
+        assert self.spend_keyed(acct, second, "K1") == ({"key": "K1"}, True)
+        acct.spend(*second)
+        live = acct._ledger_state()
+        acct.close()
+        assert states_equal(live, self.control_state(model, [first, second]))
+        assert states_equal(reopened_state(path, model), live)
+
+
+# ---------------------------------------------------------------------- #
 # Durable history edits: legacy rollback records and reset
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.engine.plan import build_plan
 from repro.io.serialization import save_plan
+import repro.serving.server as server_module
 from repro.serving import PlanService, ServiceConfig
 from repro.workloads import prefix_workload, wrelated
 
@@ -161,19 +162,38 @@ def test_dedup_hits_count_a_folded_group_once(plans_dir, tmp_path):
     assert after["dedup_hits"] - before["dedup_hits"] == 1
 
 
-def test_slow_reader_back_pressures_the_server(plans_dir, tmp_path):
+def test_slow_reader_back_pressures_the_server(plans_dir, tmp_path, monkeypatch):
     config = _config(plans_dir, tmp_path)
-    count = 4000  # ~2 MB of replies: far past the socket buffers and the
-                  # transport's high-water mark
+    count = 16000  # ~6 MB of replies: past a loopback socket's 4 MB send
+                   # buffer and the transport's high-water mark
+    bound = 64
+    monkeypatch.setattr(server_module, "MAX_CONNECTION_HANDLERS", bound)
 
     async def scenario():
         service = PlanService(config)
+        running = [0, 0]  # unfinished reply handlers: now, most at once
+        respond = service._respond
+
+        async def counted_respond(*args):
+            running[0] += 1
+            running[1] = max(running)
+            try:
+                return await respond(*args)
+            finally:
+                running[0] -= 1
+
+        service._respond = counted_respond
         host, port = await service.start()
         raw = await _in_thread(_Raw, host, port, 4096)
+        # The send runs alongside: once the server stops reading, it may
+        # wait for the replies below to be read.
+        sending = asyncio.ensure_future(
+            _in_thread(raw.send, *[{"op": "plan", "id": i} for i in range(count)])
+        )
         try:
-            await _in_thread(raw.send, *[{"op": "plan", "id": i} for i in range(count)])
             # The client reads nothing: once the connection's buffer is
-            # full, reply handlers wait instead of finishing.
+            # full, reply handlers wait instead of finishing, and the
+            # server stops reading at the bound.
             held = 0
             for _ in range(100):
                 await asyncio.sleep(0.05)
@@ -182,6 +202,7 @@ def test_slow_reader_back_pressures_the_server(plans_dir, tmp_path):
                     break
                 held = pending
             replies = await _in_thread(raw.lines, count)
+            await sending
             for _ in range(100):
                 if not service._respond_tasks:
                     break
@@ -190,10 +211,11 @@ def test_slow_reader_back_pressures_the_server(plans_dir, tmp_path):
         finally:
             await _in_thread(raw.close)
             await service.shutdown()
-        return held, replies, left
+        return held, running[1], replies, left
 
-    held, replies, left = asyncio.run(scenario())
+    held, peak, replies, left = asyncio.run(scenario())
     assert held > 0, "no reply handler waited for the slow reader"
+    assert peak <= bound, f"{peak} reply handlers pending on one connection"
     assert sorted(json.loads(line)["id"] for line in replies) == list(range(count))
     assert all(json.loads(line)["ok"] for line in replies)
     assert left == 0
