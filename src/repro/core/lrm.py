@@ -24,8 +24,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.alm import decompose_workload, decompose_workload_operator
 from repro.core.bounds import lrm_error_upper_bound
 from repro.linalg.randomized import (
@@ -36,7 +34,6 @@ from repro.exceptions import NotFittedError
 from repro.linalg.validation import as_vector, check_positive, check_positive_int
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.operator import ReleaseOperator
-from repro.privacy.noise import laplace_noise
 
 __all__ = ["LowRankMechanism", "GaussianLowRankMechanism", "spectral_cache_for_fit"]
 
@@ -179,18 +176,6 @@ class LowRankMechanism(Mechanism):
     # ------------------------------------------------------------------ #
     # Answering (Eq. 6)
     # ------------------------------------------------------------------ #
-    def _answer(self, x, epsilon, rng):
-        decomposition = self.decomposition
-        strategy_answers = decomposition.l @ x
-        sensitivity = decomposition.sensitivity
-        if sensitivity <= 0.0:
-            noisy = strategy_answers
-        else:
-            noisy = strategy_answers + laplace_noise(
-                strategy_answers.size, sensitivity, epsilon, rng
-            )
-        return decomposition.b @ noisy
-
     def release_operator(self):
         """Eq. 6 as a pipeline: strategy ``L``, recombination ``B``."""
         if self._decomposition is None:
@@ -289,20 +274,6 @@ class GaussianLowRankMechanism(LowRankMechanism):
 
             raise ValidationError(f"delta must be < 1, got {delta}")
         self.delta = delta
-
-    def _answer(self, x, epsilon, rng):
-        from repro.privacy.noise import gaussian_noise
-
-        decomposition = self.decomposition
-        strategy_answers = decomposition.l @ x
-        sensitivity = decomposition.sensitivity
-        if sensitivity <= 0.0:
-            noisy = strategy_answers
-        else:
-            noisy = strategy_answers + gaussian_noise(
-                strategy_answers.size, sensitivity, epsilon, self.delta, rng
-            )
-        return decomposition.b @ noisy
 
     def expected_squared_error(self, epsilon, x=None):
         """``tr(B^T B) sigma^2`` plus the optional structural term."""

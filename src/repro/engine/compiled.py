@@ -15,14 +15,15 @@ repeated ``execute`` down to its irreducible work:
 Batched serving goes through :meth:`CompiledPlan.answer_many`: one
 ``(k, r)`` RNG draw and one GEMM for all ``k`` releases of a batch.
 
-Mechanisms without a linear release operator (the fast-transform WM/HM)
-compile to a transparent fallback that forwards to ``mechanism.answer`` —
-``compile()`` never changes semantics, only cost.
+Every registry mechanism but the subsampled one has a release operator,
+the fast-transform WM and HM included. The mechanisms without one — the
+subsampled mechanism, whose Bernoulli thinning is data-dependent, and
+``_answer``-only subclasses — compile to a transparent fallback that
+forwards to ``mechanism.answer``. ``compile()`` never changes semantics,
+only cost.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.linalg.validation import as_epsilon_batch
 
@@ -41,8 +42,9 @@ class CompiledPlan:
     ----------
     operator:
         The mechanism's :class:`repro.mechanisms.operator.ReleaseOperator`,
-        or ``None`` when the mechanism has no linear pipeline (releases
-        then forward to ``mechanism.answer``).
+        or ``None`` when the mechanism has no linear pipeline (the
+        subsampled mechanism and ``_answer``-only subclasses; releases then
+        forward to ``mechanism.answer``).
     strategy_evaluations:
         How many times ``L x`` was actually computed (cache misses) — the
         observable the epoch-invalidation tests pin down.
@@ -88,8 +90,9 @@ class CompiledPlan:
         """One release; the noise-draw-plus-``B @ (.)`` fast path.
 
         ``x`` must be pre-validated (the engine validates its data vector
-        once, when set). The RNG call shape matches the mechanism's own
-        ``_answer``, so compiling does not move a seeded engine's stream.
+        once, when set). ``mechanism.answer`` runs the same
+        :meth:`ReleaseOperator.answer`, so compiling does not move a seeded
+        engine's stream.
         """
         self.releases += 1
         if self.operator is None:
@@ -99,10 +102,8 @@ class CompiledPlan:
     def answer_many(self, x, epsilons, rng, epoch=None):
         """``k`` releases as a ``(k, m)`` array: one RNG draw, one GEMM.
 
-        Operator-less mechanisms route through their own
-        ``Mechanism.answer_many`` — since the fast-transform mechanisms
-        (WM/HM) batch their noise block and synthesis there, every
-        mechanism's batch is now one draw plus one transform/GEMM.
+        Operator-less mechanisms (subsampled, ``_answer``-only) route
+        through their own ``Mechanism.answer_many``, which loops.
         """
         epsilons = as_epsilon_batch(epsilons)
         self.batches += 1
@@ -110,10 +111,6 @@ class CompiledPlan:
         if self.operator is None:
             return self.mechanism.answer_many(x, epsilons, rng)
         return self.operator.answer_many(self.strategy_answers(x, epoch), epsilons, rng)
-
-    def invalidate(self):
-        """Drop every cached strategy answer (all epochs)."""
-        self._strategy_cache.clear()
 
     def __repr__(self):
         kind = "operator" if self.operator is not None else "fallback"

@@ -7,9 +7,10 @@ eps-differential privacy. The lifecycle mirrors scikit-learn:
    the Laplace baselines, an SDP for MM, the ALM decomposition for LRM).
 2. ``mechanism.answer(x, epsilon, rng)`` — one noisy release of ``W x``.
 3. ``mechanism.answer_many(x, epsilons, rng)`` — ``k`` independent releases
-   at once: mechanisms with a linear release operator draw all noise in one
-   ``(k, r)`` RNG call and recombine with one GEMM (the high-traffic
-   serving path); others fall back to a loop.
+   at once: every registry mechanism but the subsampled one releases
+   through its :class:`repro.mechanisms.operator.ReleaseOperator` (one
+   ``(k, r)`` RNG call, one GEMM — the high-traffic serving path), as
+   ``answer`` does; only data-dependent releases loop.
 4. ``mechanism.expected_squared_error(epsilon)`` — the analytic expected
    total squared error ``E ||y_noisy - W x||_2^2`` where available, and
 5. ``mechanism.empirical_squared_error(x, epsilon, trials, rng)`` — the
@@ -24,11 +25,9 @@ eps-DP release; repeated calls compose sequentially (use a
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-from repro.exceptions import NotFittedError, ValidationError
+from repro.exceptions import NotFittedError
 from repro.linalg.validation import (
     as_epsilon_batch,
     as_vector,
@@ -49,11 +48,14 @@ def as_workload(workload):
     return Workload(workload)
 
 
-class Mechanism(abc.ABC):
-    """Abstract base class for batch linear-query mechanisms.
+class Mechanism:
+    """Base class for batch linear-query mechanisms.
 
-    Subclasses implement ``_fit`` (optional) and ``_answer`` (required), and
-    override ``expected_squared_error`` when a closed form exists.
+    Subclasses implement ``_fit`` (optional) and either
+    ``release_operator`` (a linear release ``B (L x + noise)``, which then
+    drives ``answer`` and ``answer_many``) or ``_answer`` (a release that is
+    not a fixed linear pipeline), and override ``expected_squared_error``
+    when a closed form exists.
     """
 
     #: Short name used in experiment tables (e.g. "LRM", "WM").
@@ -132,9 +134,19 @@ class Mechanism(abc.ABC):
         rng = ensure_rng(rng)
         return self._answer(x, epsilon, rng)
 
-    @abc.abstractmethod
     def _answer(self, x, epsilon, rng):
-        """Produce one noisy answer vector; inputs are pre-validated."""
+        """Produce one noisy answer vector; inputs are pre-validated.
+
+        Default: one release through :meth:`release_operator`. Mechanisms
+        without an operator override this.
+        """
+        operator = self.release_operator()
+        if operator is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither release_operator() "
+                "nor _answer()"
+            )
+        return operator.answer(operator.strategy_answers(x), epsilon, rng)
 
     def answer_many(self, x, epsilons, rng=None):
         """``k`` independent releases of ``W x`` as a ``(k, m)`` array.
@@ -156,8 +168,9 @@ class Mechanism(abc.ABC):
     def _answer_many(self, x, epsilons, rng):
         """Batched release hook; inputs are pre-validated.
 
-        Default: vectorise through the release operator when the mechanism
-        has one, else loop over :meth:`_answer`.
+        Default: vectorise through the release operator. The loop over
+        :meth:`_answer` serves only mechanisms without one — the subsampled
+        mechanism and ``_answer``-only subclasses.
         """
         operator = self.release_operator()
         if operator is not None:
@@ -171,11 +184,11 @@ class Mechanism(abc.ABC):
         """The release as a data-independent linear pipeline, or ``None``.
 
         Mechanisms whose release is ``B (L x + noise)`` return a
-        :class:`repro.mechanisms.operator.ReleaseOperator` so the serving
-        layer can precompute ``L x`` per data epoch and batch noise draws;
-        mechanisms built on fast transforms (WM, HM) keep the default
-        ``None`` and are served through :meth:`answer`. Only meaningful
-        once fitted.
+        :class:`repro.mechanisms.operator.ReleaseOperator` (WM and HM
+        included) and release through it; the serving layer precomputes
+        ``L x`` per data epoch and batches noise draws. The default
+        ``None`` leaves a mechanism on its own :meth:`_answer`. Only
+        meaningful once fitted.
         """
         return None
 
@@ -196,17 +209,10 @@ class Mechanism(abc.ABC):
         """
         epsilon = check_positive(epsilon, "epsilon")
         operator = self.release_operator()
-        if operator is not None and operator.noise != "none":
+        if operator is not None:
             return operator.cost(epsilon)
-        # No operator (or a zero-sensitivity "none" release): charge the
-        # (eps, delta) the scalar engine always charged for this mechanism
-        # — the declared delta, even when no noise is actually drawn.
         delta = float(getattr(self, "delta", 0.0)) if self.requires_delta else 0.0
         family = "gaussian" if delta > 0.0 else "laplace"
-        if operator is not None:
-            return NoiseCost(
-                family=family, epsilon=epsilon, delta=delta, sensitivity=0.0
-            )
         return NoiseCost(family=family, epsilon=epsilon, delta=delta)
 
     # ------------------------------------------------------------------ #

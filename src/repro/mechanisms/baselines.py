@@ -16,11 +16,8 @@ good workload decomposition, which is LRM's whole point.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.operator import ReleaseOperator
-from repro.privacy.noise import laplace_noise
 
 __all__ = ["NoiseOnDataMechanism", "NoiseOnResultsMechanism", "LaplaceMechanism"]
 
@@ -38,12 +35,6 @@ class NoiseOnDataMechanism(Mechanism):
     def __init__(self, unit_sensitivity=1.0):
         super().__init__()
         self.unit_sensitivity = float(unit_sensitivity)
-
-    def _answer(self, x, epsilon, rng):
-        noisy_data = x + laplace_noise(x.size, self.unit_sensitivity, epsilon, rng)
-        # Workload applied as an action: implicit workloads (prefix, range,
-        # marginal, Kronecker families) never materialise their matrix.
-        return self.workload.operator.matvec(noisy_data)
 
     def release_operator(self):
         """Identity strategy (noise on the counts), recombination ``W``.
@@ -71,13 +62,6 @@ class NoiseOnResultsMechanism(Mechanism):
     """``M_R``: Laplace noise straight on the ``m`` query answers."""
 
     name = "NOR"
-
-    def _answer(self, x, epsilon, rng):
-        exact = self.workload.answer(x)
-        sensitivity = self.workload.sensitivity
-        if sensitivity == 0.0:
-            return exact
-        return exact + laplace_noise(exact.size, sensitivity, epsilon, rng)
 
     def release_operator(self):
         """Strategy ``W`` itself, identity recombination."""

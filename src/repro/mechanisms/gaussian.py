@@ -15,13 +15,11 @@ classical ``sqrt(2 ln(1.25/delta))/eps`` formula, which only guarantees
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import ValidationError
 from repro.linalg.validation import check_positive
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.operator import ReleaseOperator
-from repro.privacy.noise import discrete_gaussian_noise, gaussian_noise, gaussian_sigma
+from repro.privacy.noise import gaussian_sigma
 from repro.privacy.sensitivity import l2_sensitivity
 
 __all__ = [
@@ -68,10 +66,6 @@ class GaussianNoiseOnDataMechanism(Mechanism):
             gaussian_sigma(self.unit_sensitivity, 1.0, self.delta)
         )
         return meta
-
-    def _answer(self, x, epsilon, rng):
-        noisy_data = x + gaussian_noise(x.size, self.unit_sensitivity, epsilon, self.delta, rng)
-        return self.workload.operator.matvec(noisy_data)
 
     def release_operator(self):
         """Identity strategy (noise on the counts), recombination ``W``."""
@@ -121,13 +115,6 @@ class GaussianNoiseOnResultsMechanism(Mechanism):
                 )
         return meta
 
-    def _answer(self, x, epsilon, rng):
-        exact = self.workload.answer(x)
-        sensitivity = l2_sensitivity(self.workload.operator)
-        if sensitivity == 0.0:
-            return exact
-        return exact + gaussian_noise(exact.size, sensitivity, epsilon, self.delta, rng)
-
     def release_operator(self):
         """Strategy ``W`` itself, identity recombination."""
         if not self.is_fitted:
@@ -138,7 +125,7 @@ class GaussianNoiseOnResultsMechanism(Mechanism):
         if sensitivity == 0.0:
             return ReleaseOperator(
                 strategy=strategy, recombination=None,
-                sensitivity=0.0, noise="none",
+                sensitivity=0.0, noise="none", delta=self.delta,
             )
         return ReleaseOperator(
             strategy=strategy,
@@ -172,15 +159,6 @@ class DiscreteGaussianNoiseOnResultsMechanism(GaussianNoiseOnResultsMechanism):
     """
 
     name = "DGNOR"
-
-    def _answer(self, x, epsilon, rng):
-        exact = self.workload.answer(x)
-        sensitivity = l2_sensitivity(self.workload.operator)
-        if sensitivity == 0.0:
-            return exact
-        return exact + discrete_gaussian_noise(
-            exact.size, sensitivity, epsilon, self.delta, rng
-        )
 
     def release_operator(self):
         """Same pipeline as GNOR with the integer noise family."""

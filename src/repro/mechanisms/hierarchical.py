@@ -30,7 +30,7 @@ from repro.linalg.trees import (
     tree_sensitivity,
 )
 from repro.mechanisms.base import Mechanism
-from repro.privacy.noise import laplace_noise, laplace_noise_batch
+from repro.mechanisms.operator import transform_release
 
 __all__ = ["HierarchicalMechanism"]
 
@@ -69,35 +69,16 @@ class HierarchicalMechanism(Mechanism):
         self._check_fitted()
         return tree_num_nodes(self._padded_n)
 
-    def _pad(self, x):
-        if self._padded_n == x.size:
-            return x
-        padded_x = np.zeros(self._padded_n)
-        padded_x[: x.size] = x
-        return padded_x
-
-    def _answer(self, x, epsilon, rng):
-        node_answers = tree_apply(self._pad(x))
-        noisy = node_answers + laplace_noise(
-            node_answers.size, self.strategy_sensitivity, epsilon, rng
+    def release_operator(self):
+        """Every tree node's count as ``L``; Hay consistency then ``W`` as
+        ``B`` — the fast tree passes, never a dense tree matrix."""
+        if not self.is_fitted:
+            return None
+        return transform_release(
+            self._workload, self._padded_workload, self.num_nodes,
+            tree_apply, tree_consistency, tree_consistency_rows,
+            self.strategy_sensitivity,
         )
-        estimate = tree_consistency(noisy)
-        return self._padded_workload @ estimate
-
-    def _answer_many(self, x, epsilons, rng):
-        """``k`` releases with one tree evaluation, one ``(k, 2n-1)`` noise
-        draw, one batched consistency pass and one GEMM.
-
-        Row ``i`` is distributed exactly as ``answer(x, epsilons[i])``; the
-        RNG stream advances in one block instead of ``k`` (the documented
-        batched-release stream change, extended to the fast-transform
-        mechanisms)."""
-        node_answers = tree_apply(self._pad(x))
-        noisy = node_answers[None, :] + laplace_noise_batch(
-            node_answers.size, self.strategy_sensitivity, epsilons, rng
-        )
-        estimates = tree_consistency_rows(noisy)
-        return estimates @ self._padded_workload.T
 
     def expected_squared_error(self, epsilon):
         """``2 Delta^2 / eps^2 * ||W A^+||_F^2`` via CG on the tree normal

@@ -37,7 +37,6 @@ import scipy.linalg as sla
 from repro.exceptions import DecompositionError
 from repro.linalg.validation import check_positive, check_positive_int
 from repro.mechanisms.base import Mechanism
-from repro.privacy.noise import laplace_noise
 from repro.privacy.sensitivity import l1_sensitivity
 
 __all__ = ["MatrixMechanism", "smoothed_max", "smoothed_max_gradient"]
@@ -205,14 +204,6 @@ class MatrixMechanism(Mechanism):
         """Smoothed-objective value per accepted SPG iteration."""
         self._check_fitted()
         return list(self._objective_history)
-
-    def _answer(self, x, epsilon, rng):
-        strategy_answers = self._strategy @ x
-        noisy = strategy_answers + laplace_noise(
-            strategy_answers.size, self._strategy_sensitivity, epsilon, rng
-        )
-        # x_hat = A^{-1} noisy; answers = W x_hat = (W A^{-1}) noisy.
-        return self._recombination @ noisy
 
     def release_operator(self):
         """The SDP-optimised ``(A, W A^{-1})`` pipeline."""

@@ -12,10 +12,12 @@ data epoch and answer ``k`` releases with one RNG draw and one GEMM instead
 of ``k`` GEMV/draw round trips.
 
 Mechanisms expose their operator through
-:meth:`repro.mechanisms.base.Mechanism.release_operator`; mechanisms whose
-release is not a plain matrix pipeline (the fast-transform WM/HM, whose
-consistency steps are cheaper as transforms than as dense matrices) return
-``None`` and keep the per-release code path.
+:meth:`repro.mechanisms.base.Mechanism.release_operator` and release
+through it (``Mechanism.answer`` and ``answer_many`` run this module's
+``answer``/``answer_many``). The fast-transform WM and HM hand over
+:class:`TransformFactor` actions that keep their ``O(n log n)`` Haar and
+tree transforms instead of dense matrices. Only the subsampled mechanism,
+whose thinning is data-dependent, has no operator.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.privacy.noise import (
     laplace_noise_batch,
 )
 
-__all__ = ["ReleaseOperator"]
+__all__ = ["ReleaseOperator", "TransformFactor", "transform_release"]
 
 
 def _apply(factor, vector):
@@ -54,6 +56,39 @@ def _apply_rows(factor, rows):
     if isinstance(factor, WorkloadOperator):
         return factor.matmat(rows.T).T
     return rows @ factor.T
+
+
+class TransformFactor(WorkloadOperator):
+    """An ``m x n`` release factor applied by a fast transform.
+
+    ``vector`` maps a length-``n`` vector to its length-``m`` image;
+    ``rows``, when given, maps every row of a ``(k, n)`` block at once
+    (the batched release), otherwise blocks go column by column. Only
+    :meth:`rmatvec`, never on the release path, materialises.
+    ``descriptor`` holds what determines the entries besides the shape.
+    """
+
+    kind = "transform"
+
+    def __init__(self, shape, vector, rows=None, descriptor=()):
+        self.shape = tuple(int(d) for d in shape)
+        self._vector = vector
+        self._rows = rows
+        self._descriptor = tuple(descriptor)
+
+    def matvec(self, x):
+        return self._vector(x)
+
+    def matmat(self, x):
+        if self._rows is None:
+            return super().matmat(x)
+        return self._rows(np.asarray(x).T).T
+
+    def rmatvec(self, u):
+        return self.to_dense().T @ u
+
+    def descriptor(self):
+        return (self.kind, self.shape) + self._descriptor
 
 
 @dataclass(frozen=True)
@@ -81,7 +116,9 @@ class ReleaseOperator:
         or ``"none"`` (a zero-sensitivity strategy releases exact
         strategy answers — the mechanism decides).
     delta:
-        Per-release failure probability (Gaussian-family noise only).
+        Per-release failure probability: the Gaussian family's delta, or
+        the delta a zero-sensitivity (``noise="none"``) release of an
+        (eps, delta) mechanism is charged.
     """
 
     strategy: Optional[Union[np.ndarray, WorkloadOperator]]
@@ -100,12 +137,6 @@ class ReleaseOperator:
                 f"{self.noise} noise needs 0 < delta < 1, got {self.delta}"
             )
 
-    @property
-    def strategy_size(self):
-        """Length ``r`` of the noisy intermediate vector; ``None`` when the
-        strategy is the identity (then ``r == len(x)``)."""
-        return None if self.strategy is None else self.strategy.shape[0]
-
     def strategy_answers(self, x):
         """The data-dependent half of a release: ``L x`` (or ``x``)."""
         return x if self.strategy is None else _apply(self.strategy, x)
@@ -115,10 +146,12 @@ class ReleaseOperator:
 
         The (epsilon, delta) guarantee matches what the scalar engine
         charged bit for bit; the family and noise magnitude make the audit
-        record self-describing. ``noise="none"`` (a zero-sensitivity
-        strategy) still charges the declared pair, under the family the
-        scalar accountants historically *assumed* for it (Gaussian when
-        the release carries a delta, Laplace otherwise).
+        record self-describing. This is the only cost rule of a linear
+        release, zero sensitivity included: ``noise="none"`` still charges
+        the declared pair (the mechanism puts its declared delta on the
+        operator), under the family the scalar accountants historically
+        *assumed* for it (Gaussian when the release carries a delta,
+        Laplace otherwise), with sensitivity 0.
         """
         epsilon = float(epsilon)
         if self.noise == "laplace":
@@ -163,9 +196,10 @@ class ReleaseOperator:
     def answer(self, strategy_answers, epsilon, rng):
         """One release from precomputed strategy answers.
 
-        Draws noise with the same RNG call shape as the mechanism's own
-        ``_answer`` (so seeded engine streams are unchanged by compilation)
-        and applies the recombination.
+        The single-release path of every linear mechanism:
+        ``Mechanism.answer`` and ``CompiledPlan.answer`` both end here, so
+        compiling a plan never moves a seeded engine's stream. One
+        ``(r,)`` noise draw, then the recombination.
         """
         if self.noise == "none":
             noisy = strategy_answers
@@ -202,3 +236,35 @@ class ReleaseOperator:
         if self.recombination is None:
             return np.array(noisy) if self.noise == "none" else noisy
         return _apply_rows(self.recombination, np.asarray(noisy))
+
+
+def transform_release(workload, padded_workload, size, analysis, synthesis,
+                      synthesis_rows, sensitivity):
+    """The Laplace release of a fast-transform strategy mechanism (WM, HM).
+
+    ``L`` is ``analysis`` (length ``size``) of the zero-padded counts; ``B``
+    is the transform's least-squares inverse ``synthesis`` followed by the
+    padded workload ``W_p``, so a block ``X`` of noisy coefficients maps to
+    ``(synthesis_rows(X.T) @ W_p.T).T``. Both stay transforms: no dense
+    Haar or tree matrix is formed.
+    """
+    m, padded_n = padded_workload.shape
+
+    def strategy(x):
+        if x.size != padded_n:
+            x = np.concatenate([x, np.zeros(padded_n - x.size)])
+        return analysis(x)
+
+    return ReleaseOperator(
+        strategy=TransformFactor(
+            (size, workload.domain_size), strategy,
+            descriptor=(analysis.__name__,),
+        ),
+        recombination=TransformFactor(
+            (m, size),
+            lambda coefficients: padded_workload @ synthesis(coefficients),
+            rows=lambda block: synthesis_rows(block) @ padded_workload.T,
+            descriptor=(synthesis.__name__, workload.content_digest),
+        ),
+        sensitivity=sensitivity,
+    )

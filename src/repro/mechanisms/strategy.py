@@ -25,7 +25,6 @@ from repro.exceptions import ValidationError
 from repro.linalg.validation import as_matrix
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.operator import ReleaseOperator
-from repro.privacy.noise import laplace_noise
 from repro.privacy.sensitivity import l1_sensitivity
 
 __all__ = ["StrategyMechanism", "SVDStrategyMechanism"]
@@ -67,14 +66,6 @@ class StrategyMechanism(Mechanism):
             raise ValidationError("workload is not in the row space of the strategy")
         self._recombination = recombination
         self._sensitivity = l1_sensitivity(self.strategy)
-
-    def _answer(self, x, epsilon, rng):
-        strategy_answers = self.strategy @ x
-        if self._sensitivity > 0.0:
-            strategy_answers = strategy_answers + laplace_noise(
-                strategy_answers.size, self._sensitivity, epsilon, rng
-            )
-        return self._recombination @ strategy_answers
 
     def release_operator(self):
         """The explicit ``(A, W A^+)`` pipeline."""
@@ -130,13 +121,6 @@ class SVDStrategyMechanism(Mechanism):
         self._l = vt / delta
         self._b = u * (sigma * delta)
         self._sensitivity = l1_sensitivity(self._l)
-
-    def _answer(self, x, epsilon, rng):
-        strategy_answers = self._l @ x
-        strategy_answers = strategy_answers + laplace_noise(
-            strategy_answers.size, self._sensitivity, epsilon, rng
-        )
-        return self._b @ strategy_answers
 
     def release_operator(self):
         """The Lemma-3 ``(L, B)`` pair."""

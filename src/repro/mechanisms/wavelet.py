@@ -33,7 +33,7 @@ from repro.linalg.haar import (
     next_power_of_two,
 )
 from repro.mechanisms.base import Mechanism
-from repro.privacy.noise import laplace_noise, laplace_noise_batch
+from repro.mechanisms.operator import transform_release
 
 __all__ = ["WaveletMechanism"]
 
@@ -66,35 +66,16 @@ class WaveletMechanism(Mechanism):
         self._check_fitted()
         return haar_sensitivity(self._padded_n)
 
-    def _pad(self, x):
-        if self._padded_n == x.size:
-            return x
-        padded_x = np.zeros(self._padded_n)
-        padded_x[: x.size] = x
-        return padded_x
-
-    def _answer(self, x, epsilon, rng):
-        coefficients = haar_analysis(self._pad(x))
-        noisy = coefficients + laplace_noise(
-            coefficients.size, self.strategy_sensitivity, epsilon, rng
+    def release_operator(self):
+        """Haar analysis of the padded counts as ``L``; Haar synthesis then
+        ``W`` as ``B`` — the fast transforms, never a dense Haar matrix."""
+        if not self.is_fitted:
+            return None
+        return transform_release(
+            self._workload, self._padded_workload, self._padded_n,
+            haar_analysis, haar_synthesis, haar_synthesis_rows,
+            self.strategy_sensitivity,
         )
-        reconstructed = haar_synthesis(noisy)
-        return self._padded_workload @ reconstructed
-
-    def _answer_many(self, x, epsilons, rng):
-        """``k`` releases with one analysis, one ``(k, n)`` noise draw, one
-        batched synthesis and one GEMM.
-
-        Row ``i`` is distributed exactly as ``answer(x, epsilons[i])``; the
-        RNG stream advances in one block instead of ``k`` (the documented
-        batched-release stream change, extended to the fast-transform
-        mechanisms)."""
-        coefficients = haar_analysis(self._pad(x))
-        noisy = coefficients[None, :] + laplace_noise_batch(
-            coefficients.size, self.strategy_sensitivity, epsilons, rng
-        )
-        reconstructed = haar_synthesis_rows(noisy)
-        return reconstructed @ self._padded_workload.T
 
     def expected_squared_error(self, epsilon):
         """``2 Delta^2 / eps^2 * ||W A^{-1}||_F^2`` with the fast transform."""

@@ -66,6 +66,27 @@ class TestFramework:
         mech = _EchoMechanism().fit(np.ones((4, 2)))
         assert mech.average_expected_error(1.0) == 0.0
 
+    def test_operator_only_subclass_releases_through_it(self):
+        from repro.mechanisms.operator import ReleaseOperator
+
+        class _Doubling(Mechanism):
+            def release_operator(self):
+                return ReleaseOperator(
+                    strategy=None, recombination=2.0 * self.workload.matrix,
+                    sensitivity=0.0, noise="none",
+                )
+
+        mech = _Doubling().fit(np.eye(3))
+        assert np.array_equal(mech.answer(np.ones(3), 1.0), np.full(3, 2.0))
+        assert np.array_equal(
+            mech.answer_many(np.ones(3), [1.0, 2.0]), np.full((2, 3), 2.0)
+        )
+
+    def test_mechanism_without_a_release_raises(self):
+        mech = Mechanism().fit(np.eye(2))
+        with pytest.raises(NotImplementedError):
+            mech.answer(np.ones(2), 1.0)
+
     def test_repr_states_fit(self):
         mech = _EchoMechanism()
         assert "unfitted" in repr(mech)

@@ -16,6 +16,7 @@ from repro.engine.plan import build_plan
 from repro.exceptions import ReproError, ValidationError
 from repro.mechanisms.base import Mechanism
 from repro.mechanisms.baselines import NoiseOnDataMechanism, NoiseOnResultsMechanism
+from repro.mechanisms.operator import ReleaseOperator
 from repro.mechanisms.registry import make_mechanism
 from repro.privacy.noise import gaussian_noise_batch, laplace_noise_batch
 from repro.workloads import wrange, wrelated
@@ -77,7 +78,7 @@ class TestAnswerMany:
 
         workload = wrange(6, 32, seed=0)
         batch_mechanism = make_mechanism("WM").fit(workload)
-        assert batch_mechanism.release_operator() is None
+        assert isinstance(batch_mechanism.release_operator(), ReleaseOperator)
         x = np.arange(32.0)
         epsilons = [0.1, 0.5]
         got = batch_mechanism.answer_many(x, epsilons, rng=4)
@@ -99,7 +100,7 @@ class TestAnswerMany:
 
         workload = wrange(6, 32, seed=0)
         batch_mechanism = make_mechanism("HM").fit(workload)
-        assert batch_mechanism.release_operator() is None
+        assert isinstance(batch_mechanism.release_operator(), ReleaseOperator)
         x = np.arange(32.0)
         epsilons = [0.2, 0.9]
         got = batch_mechanism.answer_many(x, epsilons, rng=7)
@@ -340,16 +341,43 @@ class TestCompiledPlan:
         assert np.allclose(release_a.answers, workload.answer(data_a), atol=1e-3)
         assert np.allclose(release_b.answers, workload.answer(data_b), atol=1e-3)
 
+    class _LaplaceOnResults(Mechanism):
+        """Operator-less: releases only through its own ``_answer``."""
+
+        name = "ANSWER_ONLY"
+
+        def _answer(self, x, epsilon, rng):
+            return self.workload.answer(x) + rng.laplace(0.0, 1.0 / epsilon, 6)
+
     def test_fallback_mechanism_keeps_exact_stream(self):
         # Operator-less plans forward to mechanism.answer: a seeded engine
         # release equals the mechanism's own seeded answer.
         workload = wrange(6, 64, seed=0)
         engine = _engine(seed=21)
-        plan = engine.plan(workload, mechanism="WM")
+        plan = engine.plan(workload, mechanism=self._LaplaceOnResults())
         assert plan.compile().operator is None
         release = engine.execute(plan, 0.5)
         expected = plan.mechanism.answer(np.arange(64.0), 0.5, np.random.default_rng(21))
         assert np.array_equal(release.answers, expected)
+
+    @pytest.mark.parametrize("label", ["WM", "HM"])
+    def test_transform_plan_computes_strategy_once_per_epoch(self, label):
+        # WM and HM compile to their transform operators: L x (Haar
+        # analysis or the tree's node counts) is computed once per data
+        # epoch, and a seeded release equals the mechanism's own answer.
+        engine = _engine(n=48, seed=5)
+        plan = engine.plan(wrange(6, 48, seed=0), mechanism=label)
+        compiled = plan.compile()
+        assert isinstance(compiled.operator, ReleaseOperator)
+        release = engine.execute(plan, 0.5)
+        expected = plan.mechanism.answer(np.arange(48.0), 0.5, np.random.default_rng(5))
+        assert np.array_equal(release.answers, expected)
+        engine.execute(plan, 0.5)
+        engine.execute_many([(plan, 0.1), (plan, 0.2)])
+        assert compiled.strategy_evaluations == 1
+        engine.set_data(np.arange(48.0)[::-1].copy())
+        engine.execute(plan, 0.5)
+        assert compiled.strategy_evaluations == 2
 
     def test_compiling_does_not_move_seeded_stream(self):
         # execute through the compiled operator draws the same noise as the
