@@ -12,15 +12,18 @@ repeated ``execute`` down to its irreducible work:
   and nothing else: no input re-validation, no GEMV against the domain-sized
   ``x``.
 
-Batched serving goes through :meth:`CompiledPlan.answer_many`: one
-``(k, r)`` RNG draw and one GEMM for all ``k`` releases of a batch.
+Every release goes through :meth:`CompiledPlan.answer_many`: one ``(k, r)``
+RNG draw and one GEMM for all ``k`` releases of a batch, and
+:meth:`CompiledPlan.answer` is a batch of one. The plan's costs are priced
+from the same compiled operator (``ExecutionPlan.release_cost``), so what
+is charged and what is drawn come from one object.
 
 Every registry mechanism but the subsampled one has a release operator,
 the fast-transform WM and HM included. The mechanisms without one — the
 subsampled mechanism, whose Bernoulli thinning is data-dependent, and
 ``_answer``-only subclasses — compile to a transparent fallback that
-forwards to ``mechanism.answer``. ``compile()`` never changes semantics,
-only cost.
+forwards to ``mechanism.answer_many``. ``compile()`` never changes
+semantics, only cost.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ class CompiledPlan:
         The mechanism's :class:`repro.mechanisms.operator.ReleaseOperator`,
         or ``None`` when the mechanism has no linear pipeline (the
         subsampled mechanism and ``_answer``-only subclasses; releases then
-        forward to ``mechanism.answer``).
+        forward to ``mechanism.answer_many``).
     strategy_evaluations:
         How many times ``L x`` was actually computed (cache misses) — the
         observable the epoch-invalidation tests pin down.
-    releases, batches:
-        Served release / batch-call counters.
+    releases:
+        Served release counter.
     """
 
     def __init__(self, plan):
@@ -60,7 +63,6 @@ class CompiledPlan:
         self._strategy_cache = {}
         self.strategy_evaluations = 0
         self.releases = 0
-        self.batches = 0
 
     # ------------------------------------------------------------------ #
     # Strategy-answer (L x) epoch cache
@@ -87,27 +89,22 @@ class CompiledPlan:
     # Releasing
     # ------------------------------------------------------------------ #
     def answer(self, x, epsilon, rng, epoch=None):
-        """One release; the noise-draw-plus-``B @ (.)`` fast path.
-
-        ``x`` must be pre-validated (the engine validates its data vector
-        once, when set). ``mechanism.answer`` runs the same
-        :meth:`ReleaseOperator.answer`, so compiling does not move a seeded
-        engine's stream.
-        """
-        self.releases += 1
-        if self.operator is None:
-            return self.mechanism.answer(x, epsilon, rng)
-        return self.operator.answer(self.strategy_answers(x, epoch), epsilon, rng)
+        """One release: a batch of one through :meth:`answer_many`."""
+        return self.answer_many(x, [epsilon], rng, epoch)[0]
 
     def answer_many(self, x, epsilons, rng, epoch=None):
         """``k`` releases as a ``(k, m)`` array: one RNG draw, one GEMM.
 
-        Operator-less mechanisms (subsampled, ``_answer``-only) route
-        through their own ``Mechanism.answer_many``, which loops.
+        ``x`` must be pre-validated (the engine validates its data vector
+        once, when set); ``epsilons`` are validated here, once.
+        ``mechanism.answer_many`` runs the same
+        :meth:`ReleaseOperator.answer_many`, so compiling does not move a
+        seeded engine's stream. Operator-less mechanisms (subsampled,
+        ``_answer``-only) route through their own
+        ``Mechanism.answer_many``, which loops.
         """
         epsilons = as_epsilon_batch(epsilons)
-        self.batches += 1
-        self.releases += int(epsilons.size)
+        self.releases += epsilons.size
         if self.operator is None:
             return self.mechanism.answer_many(x, epsilons, rng)
         return self.operator.answer_many(self.strategy_answers(x, epoch), epsilons, rng)

@@ -61,6 +61,10 @@ def mechanism_state(mechanism):
 #: privacy state (absent == absent, absent != anything else).
 _MISSING = object()
 
+#: Distinct epsilons an ExecutionPlan memoizes predicted errors for before
+#: it starts over.
+_MAX_PREDICTED = 256
+
 
 def privacy_state(mechanism):
     """Privacy-critical constructor state of a mechanism.
@@ -269,6 +273,9 @@ class ExecutionPlan:
     #: Memoized CompiledPlan (serving state; rebuilt on demand, never
     #: serialized or compared).
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
+    #: Memoized predicted errors, epsilon -> error (a pure function of the
+    #: fitted mechanism; serving repeats a handful of epsilons).
+    _predicted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Derived views
@@ -314,8 +321,16 @@ class ExecutionPlan:
         of this plan at ``epsilon`` charges (see
         :meth:`repro.mechanisms.base.Mechanism.release_cost`). This is
         exactly what the engine hands the accountant and journals in
-        ``Release.metadata["cost"]``."""
-        return self.mechanism.release_cost(epsilon)
+        ``Release.metadata["cost"]``.
+
+        Priced through the compiled release operator, the object that
+        draws the noise, so the charge matches the draw by construction
+        and the operator is built once per plan, not once per execute.
+        A mechanism without an operator prices itself."""
+        operator = self.compile().operator
+        if operator is None:
+            return self.mechanism.release_cost(epsilon)
+        return operator.cost(check_positive(epsilon, "epsilon"))
 
     def compile(self):
         """Memoized :class:`repro.engine.compiled.CompiledPlan` for serving.
@@ -325,7 +340,8 @@ class ExecutionPlan:
         epoch-keyed ``L x`` cache plus the vectorised ``answer_many`` path
         the engine's executor runs releases through. Compiling never
         changes release semantics — mechanisms without a linear release
-        operator compile to a transparent ``mechanism.answer`` forwarder.
+        operator compile to a transparent ``mechanism.answer_many``
+        forwarder.
         """
         if self._compiled is None:
             from repro.engine.compiled import CompiledPlan
@@ -335,12 +351,18 @@ class ExecutionPlan:
 
     def predicted_error(self, epsilon):
         """Analytic expected total squared error of one release at
-        ``epsilon`` (None when the mechanism has no closed form)."""
+        ``epsilon`` (None when the mechanism has no closed form),
+        memoized per epsilon."""
         epsilon = check_positive(epsilon, "epsilon")
-        try:
-            return float(self.mechanism.expected_squared_error(epsilon))
-        except (NotImplementedError, ReproError):
-            return None
+        if epsilon not in self._predicted:
+            if len(self._predicted) >= _MAX_PREDICTED:
+                self._predicted.clear()
+            try:
+                error = float(self.mechanism.expected_squared_error(epsilon))
+            except (NotImplementedError, ReproError):
+                error = None
+            self._predicted[epsilon] = error
+        return self._predicted[epsilon]
 
     # ------------------------------------------------------------------ #
     # Explain

@@ -55,7 +55,7 @@ from repro.analysis.postprocess import postprocess_answers
 from repro.engine.plan import ExecutionPlan, build_plan, plan_key
 from repro.engine.plan_cache import PlanCache
 from repro.engine.selection import APPROX_DP_CANDIDATES, DEFAULT_CANDIDATES
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import ValidationError
 from repro.linalg.validation import as_vector, check_positive, ensure_rng
 from repro.mechanisms.base import as_workload
 from repro.privacy.accountant import BudgetAccountant, StoredRelease, make_accountant
@@ -441,21 +441,9 @@ class PrivateQueryEngine:
                 "build one with engine.plan(workload)"
             )
         self._check_domain(plan.domain_size)
-        return plan.release_cost(check_positive(epsilon, "epsilon"))
+        return plan.release_cost(epsilon)
 
-    @staticmethod
-    def _predicted_error(plan, epsilon, memo):
-        """Analytic expected error of one release (None without a closed
-        form), memoized per (plan, epsilon) within a batch."""
-        key = (id(plan), epsilon)
-        if key not in memo:
-            try:
-                memo[key] = float(plan.mechanism.expected_squared_error(epsilon))
-            except (NotImplementedError, ReproError):
-                memo[key] = None
-        return memo[key]
-
-    def _head(self, plan, cost, switches, expected_memo):
+    def _head(self, plan, cost, switches):
         """The plan-level fields of a release (everything but its vector,
         realized guarantee and cost): one dict per ``(plan, cost,
         switches)`` batch group, shared by the group's stored releases so
@@ -463,7 +451,7 @@ class PrivateQueryEngine:
         return {
             "mechanism": plan.mechanism_label,
             "workload_key": plan.workload_key,
-            "expected_error": self._predicted_error(plan, cost.epsilon, expected_memo),
+            "expected_error": plan.predicted_error(cost.epsilon),
             "shape": None if plan.shape is None else list(plan.shape),
             "plan_key": plan.plan_key,
             "accountant": self._accountant.name,
@@ -715,24 +703,16 @@ class PrivateQueryEngine:
         for index, (plan, _, _) in enumerate(prepared):
             groups.setdefault(id(plan), []).append(index)
         staged = [None] * len(prepared)
-        expected_memo = {}
         heads = {}
         for indices in groups.values():
             plan = prepared[indices[0]][0]
-            compiled = plan.compile()
-            if len(indices) == 1:
-                rows = [compiled.answer(
-                    self._data, prepared[indices[0]][1].epsilon, self._rng,
-                    epoch=self._data_epoch,
-                )]
-            else:
-                # Each release takes a row view of the freshly-allocated
-                # (k, m) batch buffer — rows never overlap, so releases
-                # cannot alias each other's answers.
-                rows = compiled.answer_many(
-                    self._data, [prepared[index][1].epsilon for index in indices],
-                    self._rng, epoch=self._data_epoch,
-                )
+            # Each release takes a row view of the freshly-allocated (k, m)
+            # batch buffer — rows never overlap, so releases cannot alias
+            # each other's answers (or the cached strategy answers).
+            rows = plan.compile().answer_many(
+                self._data, [prepared[index][1].epsilon for index in indices],
+                self._rng, epoch=self._data_epoch,
+            )
             for row, index in zip(rows, indices):
                 _, cost, switches = prepared[index]
                 group = (
@@ -741,7 +721,7 @@ class PrivateQueryEngine:
                 )
                 head = heads.get(group)
                 if head is None:
-                    head = heads[group] = self._head(plan, cost, switches, expected_memo)
+                    head = heads[group] = self._head(plan, cost, switches)
                 staged[index] = StoredRelease(
                     self._postprocess(plan, row, **switches), head, realized[index], cost
                 )

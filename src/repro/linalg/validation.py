@@ -41,7 +41,9 @@ def as_epsilon_batch(epsilons):
         raise ValidationError(
             f"epsilons must be a non-empty 1-D sequence, got shape {epsilons.shape}"
         )
-    if not np.all(np.isfinite(epsilons)) or np.any(epsilons <= 0.0):
+    # Serving batches are small, where one Python pass beats two numpy
+    # reductions; a comparison with NaN is false, so NaN is rejected too.
+    if not all(0.0 < epsilon < np.inf for epsilon in epsilons.tolist()):
         raise ValidationError("every epsilon must be positive and finite")
     return epsilons
 

@@ -5,14 +5,17 @@ eps-differential privacy. The lifecycle mirrors scikit-learn:
 
 1. ``mechanism.fit(workload)`` — any per-workload optimisation (a no-op for
    the Laplace baselines, an SDP for MM, the ALM decomposition for LRM).
-2. ``mechanism.answer(x, epsilon, rng)`` — one noisy release of ``W x``.
-3. ``mechanism.answer_many(x, epsilons, rng)`` — ``k`` independent releases
-   at once: every registry mechanism but the subsampled one releases
-   through its :class:`repro.mechanisms.operator.ReleaseOperator` (one
-   ``(k, r)`` RNG call, one GEMM — the high-traffic serving path), as
-   ``answer`` does; only data-dependent releases loop.
+2. ``mechanism.answer_many(x, epsilons, rng)`` — ``k`` independent
+   releases at once: every registry mechanism but the subsampled one
+   releases through its :class:`repro.mechanisms.operator.ReleaseOperator`
+   (one ``(k, r)`` RNG call, one GEMM — the high-traffic serving path);
+   only data-dependent releases loop over their own ``_answer``.
+3. ``mechanism.answer(x, epsilon, rng)`` — one noisy release of ``W x``:
+   a batch of one through the same path.
 4. ``mechanism.expected_squared_error(epsilon)`` — the analytic expected
-   total squared error ``E ||y_noisy - W x||_2^2`` where available, and
+   total squared error ``E ||y_noisy - W x||_2^2``: the release operator's
+   Lemma 1 ``var(noise) * ||B||_F^2`` unless a mechanism has a closer
+   form, and
 5. ``mechanism.empirical_squared_error(x, epsilon, trials, rng)`` — the
    Monte-Carlo estimate the paper's experiments report (20 trials), run
    through the batched path.
@@ -53,9 +56,9 @@ class Mechanism:
 
     Subclasses implement ``_fit`` (optional) and either
     ``release_operator`` (a linear release ``B (L x + noise)``, which then
-    drives ``answer`` and ``answer_many``) or ``_answer`` (a release that is
-    not a fixed linear pipeline), and override ``expected_squared_error``
-    when a closed form exists.
+    drives ``answer``, ``answer_many``, ``release_cost`` and
+    ``expected_squared_error``) or ``_answer`` (a release that is not a
+    fixed linear pipeline).
     """
 
     #: Short name used in experiment tables (e.g. "LRM", "WM").
@@ -132,21 +135,15 @@ class Mechanism:
         x = as_vector(x, "x", size=self._workload.domain_size)
         epsilon = check_positive(epsilon, "epsilon")
         rng = ensure_rng(rng)
-        return self._answer(x, epsilon, rng)
+        return self._answer_many(x, np.array([epsilon]), rng)[0]
 
     def _answer(self, x, epsilon, rng):
-        """Produce one noisy answer vector; inputs are pre-validated.
-
-        Default: one release through :meth:`release_operator`. Mechanisms
-        without an operator override this.
-        """
-        operator = self.release_operator()
-        if operator is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither release_operator() "
-                "nor _answer()"
-            )
-        return operator.answer(operator.strategy_answers(x), epsilon, rng)
+        """One release of a mechanism without a release operator, the
+        hook :meth:`_answer_many` loops over; inputs are pre-validated."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither release_operator() "
+            "nor _answer()"
+        )
 
     def answer_many(self, x, epsilons, rng=None):
         """``k`` independent releases of ``W x`` as a ``(k, m)`` array.
@@ -157,7 +154,8 @@ class Mechanism:
         :meth:`release_operator` draw the whole batch's noise in one
         ``(k, r)`` RNG call and recombine with a single GEMM; the RNG
         stream therefore advances differently from ``k`` separate
-        ``answer`` calls (intentional — the distributions are identical).
+        ``answer`` calls (intentional — the distributions are identical),
+        while a batch of one is exactly ``answer``.
         """
         self._check_fitted()
         x = as_vector(x, "x", size=self._workload.domain_size)
@@ -168,9 +166,9 @@ class Mechanism:
     def _answer_many(self, x, epsilons, rng):
         """Batched release hook; inputs are pre-validated.
 
-        Default: vectorise through the release operator. The loop over
-        :meth:`_answer` serves only mechanisms without one — the subsampled
-        mechanism and ``_answer``-only subclasses.
+        Default: :meth:`ReleaseOperator.answer_many`. The loop over
+        :meth:`_answer` serves only mechanisms without an operator — the
+        subsampled mechanism and ``_answer``-only subclasses.
         """
         operator = self.release_operator()
         if operator is not None:
@@ -185,10 +183,10 @@ class Mechanism:
 
         Mechanisms whose release is ``B (L x + noise)`` return a
         :class:`repro.mechanisms.operator.ReleaseOperator` (WM and HM
-        included) and release through it; the serving layer precomputes
-        ``L x`` per data epoch and batches noise draws. The default
-        ``None`` leaves a mechanism on its own :meth:`_answer`. Only
-        meaningful once fitted.
+        included), which then releases, prices and predicts the error of
+        every release; the serving layer precomputes ``L x`` per data
+        epoch and batches noise draws. The default ``None`` leaves a
+        mechanism on its own :meth:`_answer`. Only meaningful once fitted.
         """
         return None
 
@@ -250,12 +248,21 @@ class Mechanism:
     def expected_squared_error(self, epsilon):
         """Analytic expected total squared error ``E ||y - W x||^2``.
 
-        Subclasses with a closed form override this; the default raises.
+        Default: the release operator's Lemma 1 formula,
+        ``var(noise) * ||B||_F^2``
+        (:meth:`ReleaseOperator.expected_squared_error`). Mechanisms
+        without an operator raise; subclasses with a closer form (a
+        structural term, a transform's closed form) override this.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no analytic error formula; "
-            "use empirical_squared_error"
-        )
+        self._check_fitted()
+        epsilon = check_positive(epsilon, "epsilon")
+        operator = self.release_operator()
+        if operator is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has no analytic error formula; "
+                "use empirical_squared_error"
+            )
+        return operator.expected_squared_error(epsilon)
 
     def average_expected_error(self, epsilon):
         """Per-query analytic expected error (total divided by ``m``),

@@ -50,13 +50,6 @@ class NoiseOnDataMechanism(Mechanism):
             sensitivity=self.unit_sensitivity,
         )
 
-    def expected_squared_error(self, epsilon):
-        """``2 Delta^2 ||W||_F^2 / eps^2`` — linear in the domain size for
-        dense workloads, which is why LM degrades in Figures 4-6."""
-        self._check_fitted()
-        scale = self.unit_sensitivity / float(epsilon)
-        return 2.0 * scale * scale * self.workload.frobenius_squared
-
 
 class NoiseOnResultsMechanism(Mechanism):
     """``M_R``: Laplace noise straight on the ``m`` query answers."""
@@ -75,13 +68,6 @@ class NoiseOnResultsMechanism(Mechanism):
             sensitivity=sensitivity,
             noise="laplace" if sensitivity > 0.0 else "none",
         )
-
-    def expected_squared_error(self, epsilon):
-        """``2 m Delta(W)^2 / eps^2``."""
-        self._check_fitted()
-        sensitivity = self.workload.sensitivity
-        scale = sensitivity / float(epsilon)
-        return 2.0 * self.workload.num_queries * scale * scale
 
 
 #: Alias matching the experiment tables: the paper's "LM" is noise-on-data

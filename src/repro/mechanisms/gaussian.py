@@ -80,13 +80,6 @@ class GaussianNoiseOnDataMechanism(Mechanism):
             delta=self.delta,
         )
 
-    def expected_squared_error(self, epsilon):
-        """``sigma^2 ||W||_F^2`` with the analytic Gaussian sigma (valid at
-        every eps, including eps >= 1)."""
-        self._check_fitted()
-        sigma = gaussian_sigma(self.unit_sensitivity, epsilon, self.delta)
-        return sigma * sigma * self.workload.frobenius_squared
-
 
 class GaussianNoiseOnResultsMechanism(Mechanism):
     """Gaussian noise straight on the ``m`` query answers, calibrated to the
@@ -135,15 +128,6 @@ class GaussianNoiseOnResultsMechanism(Mechanism):
             delta=self.delta,
         )
 
-    def expected_squared_error(self, epsilon):
-        """``m * sigma^2`` with sigma calibrated to ``Delta_2(W)``."""
-        self._check_fitted()
-        sensitivity = l2_sensitivity(self.workload.operator)
-        if sensitivity == 0.0:
-            return 0.0
-        sigma = gaussian_sigma(sensitivity, epsilon, self.delta)
-        return self.workload.num_queries * sigma * sigma
-
 
 class DiscreteGaussianNoiseOnResultsMechanism(GaussianNoiseOnResultsMechanism):
     """Integer noise on the query answers: the discrete Gaussian of
@@ -177,8 +161,3 @@ class DiscreteGaussianNoiseOnResultsMechanism(GaussianNoiseOnResultsMechanism):
         meta = super().plan_metadata()
         meta["noise"] = "discrete_gaussian"
         return meta
-
-    def expected_squared_error(self, epsilon):
-        """``m * sigma^2``, a (tight) upper bound: the discrete Gaussian's
-        variance never exceeds the continuous ``sigma^2`` (CKS 2020)."""
-        return super().expected_squared_error(epsilon)

@@ -216,9 +216,3 @@ class MatrixMechanism(Mechanism):
             recombination=self._recombination,
             sensitivity=self._strategy_sensitivity,
         )
-
-    def expected_squared_error(self, epsilon):
-        """``2 Delta_1(A)^2 / eps^2 * ||W A^{-1}||_F^2``."""
-        self._check_fitted()
-        scale = self._strategy_sensitivity / float(epsilon)
-        return 2.0 * scale * scale * float(np.sum(self._recombination**2))

@@ -5,19 +5,27 @@ Every mechanism in the paper's family releases
     M(Q, D) = B (L x + noise(Delta(L) / eps)^r)            (Eq. 6 shape)
 
 for some strategy ``L`` (possibly the identity), recombination ``B``
-(possibly the identity), sensitivity ``Delta`` and noise family. A
-:class:`ReleaseOperator` captures exactly that tuple, which is what lets the
-serving layer (:mod:`repro.engine.compiled`) precompute ``L x`` once per
-data epoch and answer ``k`` releases with one RNG draw and one GEMM instead
-of ``k`` GEMV/draw round trips.
+(possibly the identity), sensitivity ``Delta`` and noise family, and its
+expected squared error is one formula too, Lemma 1's
+``var(noise) * ||B||_F^2``. A :class:`ReleaseOperator` captures exactly
+that tuple, prices it (:meth:`ReleaseOperator.cost`), predicts its error
+(:meth:`ReleaseOperator.expected_squared_error`) and draws it
+(:meth:`ReleaseOperator.answer_many`).
+
+``answer_many`` is the only release kernel: every release of a linear
+mechanism is a batch, and a single release is a batch of one
+(``Mechanism.answer``, ``CompiledPlan.answer`` and the engine all end
+here). A batch of ``k`` is one RNG draw and one GEMM, which is what lets
+the serving layer (:mod:`repro.engine.compiled`) precompute ``L x`` once
+per data epoch and answer ``k`` releases without ``k`` GEMV/draw round
+trips.
 
 Mechanisms expose their operator through
-:meth:`repro.mechanisms.base.Mechanism.release_operator` and release
-through it (``Mechanism.answer`` and ``answer_many`` run this module's
-``answer``/``answer_many``). The fast-transform WM and HM hand over
-:class:`TransformFactor` actions that keep their ``O(n log n)`` Haar and
-tree transforms instead of dense matrices. Only the subsampled mechanism,
-whose thinning is data-dependent, has no operator.
+:meth:`repro.mechanisms.base.Mechanism.release_operator`. The
+fast-transform WM and HM hand over :class:`TransformFactor` actions that
+keep their ``O(n log n)`` Haar and tree transforms instead of dense
+matrices. Only the subsampled mechanism, whose thinning is
+data-dependent, has no operator.
 """
 
 from __future__ import annotations
@@ -30,24 +38,9 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.linalg.operator import WorkloadOperator
 from repro.privacy.cost import NoiseCost
-from repro.privacy.noise import (
-    discrete_gaussian_noise,
-    discrete_gaussian_noise_batch,
-    gaussian_noise,
-    gaussian_noise_batch,
-    gaussian_sigma,
-    laplace_noise,
-    laplace_noise_batch,
-)
+from repro.privacy.noise import gaussian_sigma, noise_rows
 
 __all__ = ["ReleaseOperator", "TransformFactor", "transform_release"]
-
-
-def _apply(factor, vector):
-    """``factor @ vector`` for a dense array or an implicit operator."""
-    if isinstance(factor, WorkloadOperator):
-        return factor.matvec(vector)
-    return factor @ vector
 
 
 def _apply_rows(factor, rows):
@@ -136,10 +129,20 @@ class ReleaseOperator:
             raise ValidationError(
                 f"{self.noise} noise needs 0 < delta < 1, got {self.delta}"
             )
+        if self.noise != "none" and not self.sensitivity > 0.0:
+            raise ValidationError(
+                f"{self.noise} noise needs a positive sensitivity, got "
+                f"{self.sensitivity}; a zero-sensitivity strategy releases "
+                'with noise="none"'
+            )
 
     def strategy_answers(self, x):
         """The data-dependent half of a release: ``L x`` (or ``x``)."""
-        return x if self.strategy is None else _apply(self.strategy, x)
+        if self.strategy is None:
+            return x
+        if isinstance(self.strategy, WorkloadOperator):
+            return self.strategy.matvec(x)
+        return self.strategy @ x
 
     def cost(self, epsilon):
         """The typed :class:`~repro.privacy.cost.NoiseCost` of one release.
@@ -158,9 +161,7 @@ class ReleaseOperator:
             return NoiseCost(
                 family="laplace",
                 epsilon=epsilon,
-                sigma_or_scale=(
-                    self.sensitivity / epsilon if self.sensitivity > 0.0 else None
-                ),
+                sigma_or_scale=self.sensitivity / epsilon,
                 sensitivity=self.sensitivity,
             )
         if self.noise in ("gaussian", "discrete_gaussian"):
@@ -168,11 +169,7 @@ class ReleaseOperator:
                 family=self.noise,
                 epsilon=epsilon,
                 delta=self.delta,
-                sigma_or_scale=(
-                    gaussian_sigma(self.sensitivity, epsilon, self.delta)
-                    if self.sensitivity > 0.0
-                    else None
-                ),
+                sigma_or_scale=gaussian_sigma(self.sensitivity, epsilon, self.delta),
                 sensitivity=self.sensitivity,
             )
         family = "gaussian" if self.delta > 0.0 else "laplace"
@@ -180,61 +177,60 @@ class ReleaseOperator:
             family=family, epsilon=epsilon, delta=self.delta, sensitivity=0.0
         )
 
-    # ------------------------------------------------------------------ #
-    # Releasing
-    # ------------------------------------------------------------------ #
-    def _noise_rows(self, size, epsilons, rng):
-        """One ``(k, size)`` draw covering the whole batch."""
-        if self.noise == "laplace":
-            return laplace_noise_batch(size, self.sensitivity, epsilons, rng)
-        if self.noise == "discrete_gaussian":
-            return discrete_gaussian_noise_batch(
-                size, self.sensitivity, epsilons, self.delta, rng
-            )
-        return gaussian_noise_batch(size, self.sensitivity, epsilons, self.delta, rng)
+    def expected_squared_error(self, epsilon):
+        """Lemma 1's analytic ``E ||release - B L x||^2`` at ``epsilon``.
 
-    def answer(self, strategy_answers, epsilon, rng):
-        """One release from precomputed strategy answers.
-
-        The single-release path of every linear mechanism:
-        ``Mechanism.answer`` and ``CompiledPlan.answer`` both end here, so
-        compiling a plan never moves a seeded engine's stream. One
-        ``(r,)`` noise draw, then the recombination.
+        The per-coordinate noise variance (``2 (Delta/eps)^2`` Laplace,
+        ``sigma^2`` for the Gaussian family — an upper bound for the
+        discrete one, CKS 2020 — and 0 for ``noise="none"``) times
+        ``||B||_F^2``, which is ``r`` when ``B`` is the identity. The
+        multiplication order keeps the closed forms the mechanisms used to
+        state by hand bit for bit (``2 r s s`` on results, ``2 s s F``
+        through a recombination).
         """
         if self.noise == "none":
-            noisy = strategy_answers
-        elif self.noise == "laplace":
-            noisy = strategy_answers + laplace_noise(
-                strategy_answers.size, self.sensitivity, epsilon, rng
-            )
-        elif self.noise == "discrete_gaussian":
-            noisy = strategy_answers + discrete_gaussian_noise(
-                strategy_answers.size, self.sensitivity, epsilon, self.delta, rng
-            )
+            return 0.0
+        epsilon = float(epsilon)
+        if self.noise == "laplace":
+            coefficient, scale = 2.0, self.sensitivity / epsilon
         else:
-            noisy = strategy_answers + gaussian_noise(
-                strategy_answers.size, self.sensitivity, epsilon, self.delta, rng
-            )
-        return noisy if self.recombination is None else _apply(self.recombination, noisy)
+            coefficient = 1.0
+            scale = gaussian_sigma(self.sensitivity, epsilon, self.delta)
+        recombination = self.recombination
+        if recombination is None:
+            rows = self.strategy.shape[0]
+            return coefficient * rows * scale * scale
+        if isinstance(recombination, WorkloadOperator):
+            frobenius_squared = recombination.frobenius_squared()
+        else:
+            frobenius_squared = float(np.sum(recombination**2))
+        return coefficient * scale * scale * frobenius_squared
 
     def answer_many(self, strategy_answers, epsilons, rng):
         """``k`` releases as a ``(k, m)`` array: one RNG draw, one GEMM.
 
-        Row ``i`` is distributed exactly as ``answer(strategy_answers,
-        epsilons[i], rng)``; only the RNG stream layout differs from a loop
-        (one ``(k, r)`` draw instead of ``k`` ``(r,)`` draws).
+        The one release kernel of every linear mechanism — a single
+        release is a batch of one. ``epsilons`` is a validated 1-D float64
+        array (:func:`repro.linalg.validation.as_epsilon_batch`); callers
+        validate at their public entry. Row ``i`` is an ``epsilons[i]``
+        release; a batch draws its noise in one ``(k, r)`` call, so the RNG
+        stream advances differently from ``k`` one-row batches (the
+        distributions are identical). Every row is freshly allocated, so a
+        release never aliases the cached strategy answers.
         """
-        epsilons = np.asarray(epsilons, dtype=np.float64)
         if self.noise == "none":
             noisy = np.broadcast_to(
                 strategy_answers, (epsilons.size, strategy_answers.size)
             )
+            if self.recombination is None:
+                return np.array(noisy)
         else:
-            noisy = strategy_answers[None, :] + self._noise_rows(
-                strategy_answers.size, epsilons, rng
+            noisy = strategy_answers[None, :] + noise_rows(
+                self.noise, strategy_answers.size, self.sensitivity, epsilons,
+                rng, self.delta,
             )
         if self.recombination is None:
-            return np.array(noisy) if self.noise == "none" else noisy
+            return noisy
         return _apply_rows(self.recombination, np.asarray(noisy))
 
 

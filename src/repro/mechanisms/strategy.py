@@ -84,12 +84,6 @@ class StrategyMechanism(Mechanism):
         self._check_fitted()
         return self._sensitivity
 
-    def expected_squared_error(self, epsilon):
-        """``2 Delta_1(A)^2 / eps^2 * ||W A^+||_F^2``."""
-        self._check_fitted()
-        scale = self._sensitivity / float(epsilon)
-        return 2.0 * scale * scale * float(np.sum(self._recombination**2))
-
 
 class SVDStrategyMechanism(Mechanism):
     """The Lemma-3 SVD strategy run as a mechanism (LRM-without-ALM).
@@ -135,9 +129,3 @@ class SVDStrategyMechanism(Mechanism):
         """The fitted ``(B, L)`` pair."""
         self._check_fitted()
         return self._b, self._l
-
-    def expected_squared_error(self, epsilon):
-        """Lemma 1 applied to the SVD pair: ``2 tr(B^T B) Delta^2 / eps^2``."""
-        self._check_fitted()
-        scale = self._sensitivity / float(epsilon)
-        return 2.0 * float(np.sum(self._b**2)) * scale * scale

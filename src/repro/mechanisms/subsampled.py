@@ -115,7 +115,9 @@ class SubsampledMechanism(Mechanism):
             thinned = rng.binomial(
                 np.rint(counts).astype(np.int64), self.sample_rate
             ).astype(np.float64)
-        return self.inner._answer(thinned, epsilon, rng) / self.sample_rate
+        # The inner release is a batch of one through its release operator.
+        release = self.inner._answer_many(thinned, np.array([epsilon]), rng)[0]
+        return release / self.sample_rate
 
     def release_operator(self):
         """``None``: thinning is data-dependent, so the release is not a

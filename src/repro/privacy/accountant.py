@@ -451,8 +451,11 @@ class BudgetAccountant(abc.ABC):
                         if key is not None:
                             first[key] = len(fresh)
                         fresh.append(position)
-                self.dedup_hits += len(requests) - len(fresh)
+                # Replays count once the transaction commits: a refused or
+                # failed batch delivered none of them.
+                hits = len(requests) - len(fresh)
                 if not fresh and many is None:
+                    self.dedup_hits += hits
                     return [], results
                 state = self._ledger_state()
                 realized = None if produce is None and realized_out is None else []
@@ -478,6 +481,7 @@ class BudgetAccountant(abc.ABC):
             if before is not None:
                 self._set_ledger_state(before)
             raise
+        self.dedup_hits += hits
         if realized_out is not None:
             realized_out.extend(realized)
         for position, payload in zip(fresh, payloads):

@@ -54,19 +54,8 @@ __all__ = [
     "expected_squared_gaussian_noise",
     "discrete_gaussian_noise",
     "discrete_gaussian_noise_batch",
+    "noise_rows",
 ]
-
-
-def _batch_scales(unit_scale, epsilons):
-    """Per-release noise scales ``unit_scale / eps_i`` as a ``(k, 1)``
-    column, ready to broadcast against a ``(k, size)`` draw. ``unit_scale``
-    is the noise scale at ``eps = 1`` — the scale formulas divide by
-    epsilon last, so this is bit-identical to the per-release calibration.
-    Only valid for noise families whose scale is proportional to ``1/eps``
-    (Laplace; *not* the analytic Gaussian calibration).
-    """
-    epsilons = as_epsilon_batch(epsilons)
-    return (unit_scale / epsilons)[:, None]
 
 
 def laplace_scale(sensitivity, epsilon):
@@ -115,9 +104,38 @@ def laplace_noise_batch(size, sensitivity, epsilons, rng=None):
     the RNG stream position differs from ``k`` separate calls.
     """
     size = check_positive_int(size, "size")
-    scales = _batch_scales(laplace_scale(sensitivity, 1.0), epsilons)
-    rng = ensure_rng(rng)
-    return rng.laplace(loc=0.0, scale=scales, size=(scales.shape[0], size))
+    sensitivity = check_positive(sensitivity, "sensitivity")
+    return noise_rows(
+        "laplace", size, sensitivity, as_epsilon_batch(epsilons), ensure_rng(rng)
+    )
+
+
+def noise_rows(family, size, sensitivity, epsilons, rng, delta=0.0):
+    """The one batch noise draw: a ``(k, size)`` array, row ``i`` at
+    ``epsilons[i]``, for ``family`` ``"laplace"`` (scale
+    ``sensitivity / eps``), ``"gaussian"`` or ``"discrete_gaussian"`` (the
+    analytic sigma at ``delta``).
+
+    Inputs are trusted — ``epsilons`` a validated 1-D float64 array
+    (:func:`repro.linalg.validation.as_epsilon_batch`), ``sensitivity``
+    positive, ``rng`` a Generator — so callers validate once, at their
+    public entry. The continuous families multiply standard variates by
+    the per-row scale column: numpy's ``laplace``/``normal`` compute
+    ``0 + scale * standard`` too, so this is bit-identical to them (a
+    one-row batch equals :func:`laplace_noise`/:func:`gaussian_noise`)
+    and about 3x cheaper than an array-scale draw.
+    """
+    k = epsilons.size
+    if family == "laplace":
+        return rng.laplace(size=(k, size)) * (sensitivity / epsilons)[:, None]
+    sigmas = sensitivity * _analytic_sigma_ratio_batch(epsilons, delta)
+    if family == "discrete_gaussian":
+        # The rejection sampler consumes a variable slice of the stream per
+        # row, so rows are sampled in order.
+        return np.stack(
+            [_discrete_gaussian_samples(float(sigma), size, rng) for sigma in sigmas]
+        )
+    return rng.standard_normal((k, size)) * sigmas[:, None]
 
 
 def expected_squared_noise(count, sensitivity, epsilon):
@@ -272,12 +290,23 @@ def gaussian_sigma_batch(l2_sensitivity, epsilons, delta, mode="analytic"):
         return l2_sensitivity * np.sqrt(2.0 * np.log(1.25 / delta)) / epsilons
     if mode != "analytic":
         raise ValidationError(f"unknown Gaussian calibration mode {mode!r}")
-    # Serving batches repeat a handful of distinct epsilons, so solve each
-    # distinct value once. Few distinct values route through the lru-cached
-    # scalar path (amortized across calls on the hot path); many distinct
-    # values run one vectorised bisection over the deduplicated set. Both
-    # are bit-identical per element to the standalone calibration — the
-    # bisection is element-wise independent.
+    return l2_sensitivity * _analytic_sigma_ratio_batch(epsilons, delta)
+
+
+def _analytic_sigma_ratio_batch(epsilons, delta):
+    """Analytic ``sigma / Delta`` ratios of a validated epsilon batch.
+
+    Serving batches repeat a handful of distinct epsilons, so each
+    distinct value is solved once. Small batches and few distinct values
+    route through the lru-cached scalar path (amortized across calls on
+    the hot path); many distinct values run one vectorised bisection over
+    the deduplicated set. Both are bit-identical per element to the
+    standalone calibration — the bisection is element-wise independent.
+    """
+    if epsilons.size <= _BATCH_CACHE_MAX_DISTINCT:
+        return np.array(
+            [_analytic_sigma_ratio_cached(eps, delta) for eps in epsilons.tolist()]
+        )
     unique, inverse = np.unique(epsilons, return_inverse=True)
     if unique.size <= _BATCH_CACHE_MAX_DISTINCT:
         ratios = np.array(
@@ -285,7 +314,7 @@ def gaussian_sigma_batch(l2_sensitivity, epsilons, delta, mode="analytic"):
         )
     else:
         ratios = _analytic_sigma_ratios(unique, delta)
-    return l2_sensitivity * ratios[inverse]
+    return ratios[inverse]
 
 
 def gaussian_noise(size, l2_sensitivity, epsilon, delta, rng=None):
@@ -316,9 +345,11 @@ def gaussian_noise_batch(size, l2_sensitivity, epsilons, delta, rng=None):
     formula.
     """
     size = check_positive_int(size, "size")
-    sigmas = gaussian_sigma_batch(l2_sensitivity, epsilons, delta)[:, None]
-    rng = ensure_rng(rng)
-    return rng.normal(loc=0.0, scale=sigmas, size=(sigmas.shape[0], size))
+    l2_sensitivity = check_positive(l2_sensitivity, "l2_sensitivity")
+    return noise_rows(
+        "gaussian", size, l2_sensitivity, as_epsilon_batch(epsilons),
+        ensure_rng(rng), _check_failure_delta(delta),
+    )
 
 
 def expected_squared_gaussian_noise(count, l2_sensitivity, epsilon, delta):
@@ -400,7 +431,8 @@ def discrete_gaussian_noise_batch(size, l2_sensitivity, epsilons, delta, rng=Non
     vectorised draw.
     """
     size = check_positive_int(size, "size")
-    sigmas = gaussian_sigma_batch(l2_sensitivity, epsilons, delta)
-    rng = ensure_rng(rng)
-    rows = [_discrete_gaussian_samples(float(sigma), size, rng) for sigma in sigmas]
-    return np.stack(rows, axis=0)
+    l2_sensitivity = check_positive(l2_sensitivity, "l2_sensitivity")
+    return noise_rows(
+        "discrete_gaussian", size, l2_sensitivity, as_epsilon_batch(epsilons),
+        ensure_rng(rng), _check_failure_delta(delta),
+    )

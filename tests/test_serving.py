@@ -292,7 +292,46 @@ class TestCompiledPlan:
         engine.execute_many([(plan, 0.1), (plan, 0.2)])
         assert compiled.strategy_evaluations == 1
         assert compiled.releases == 5
-        assert compiled.batches == 1
+
+    @staticmethod
+    def _count_operator_builds(monkeypatch, mechanism):
+        calls = []
+        mechanism_cls = type(mechanism)
+        original = mechanism_cls.release_operator
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(mechanism_cls, "release_operator", counted)
+        return calls
+
+    @pytest.mark.parametrize("label", ["LRM", "GNOR", "WM"])
+    def test_costs_price_through_the_compiled_operator(self, label, monkeypatch):
+        # plan.release_cost builds the release operator once per plan (at
+        # compile), however often it prices, and charges exactly what the
+        # mechanism's own pricing says.
+        plan = _engine().plan(wrange(6, 64, seed=0), mechanism=label)
+        calls = self._count_operator_builds(monkeypatch, plan.mechanism)
+        records = [plan.release_cost(eps).to_record() for eps in (0.1, 0.2, 0.1, 0.2)]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for record, eps in zip(records, (0.1, 0.2, 0.1, 0.2)):
+            assert record == plan.mechanism.release_cost(eps).to_record()
+
+    @pytest.mark.parametrize("label", ["LRM", "WM"])
+    def test_repeated_execute_builds_the_operator_once(self, label, monkeypatch):
+        # LRM and WM predict their error from their own closed forms, so a
+        # whole run of executes builds the operator exactly once.
+        engine = _engine()
+        plan = engine.plan(wrange(6, 64, seed=0), mechanism=label)
+        calls = self._count_operator_builds(monkeypatch, plan.mechanism)
+        records = [engine.execute(plan, 0.1).metadata["cost"] for _ in range(3)]
+        records += [r.metadata["cost"] for r in engine.execute_many([(plan, 0.1)] * 2)]
+        assert len(calls) == 1
+        monkeypatch.undo()
+        expected = plan.mechanism.release_cost(0.1).to_record()
+        assert all(record == expected for record in records)
 
     def test_set_data_invalidates_cached_strategy_answers(self):
         engine = _engine(n=64)

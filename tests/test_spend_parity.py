@@ -174,3 +174,46 @@ def test_durable_backend_answers_like_memory(memory_run, backend, tmp_path):
         assert [_plain(reopened.result_for(key)) for key in KEYS] == expected[-1]["stored"]
     finally:
         reopened.close()
+
+
+@pytest.mark.parametrize("backend", ("memory",) + BACKENDS)
+def test_dedup_hits_count_only_delivered_replays(backend, tmp_path):
+    """A stored-key replay counts once its transaction commits: a batch
+    refused for budget, or whose ``produce`` fails, delivers nothing."""
+    acct = (
+        _accountant("pure") if backend == "memory"
+        else _open(backend, "pure", tmp_path)
+    )
+    requests = []
+
+    def produce(positions, realized):
+        return [
+            StoredRelease(np.array([float(position)]), {"plan": "hits"},
+                          tuple(pair), requests[position][0])
+            for position, pair in zip(positions, realized)
+        ]
+
+    def raising(positions, realized):
+        raise RuntimeError("noise sampler died")
+
+    requests[:] = [((0.5, 0.0), "A")]
+    acct.spend_keyed(requests, produce)
+    assert acct.dedup_hits == 0
+
+    requests[:] = [((0.5, 0.0), "A"), ((0.9, 0.0), "B")]
+    with pytest.raises(ReproError):
+        acct.spend_keyed(requests, produce)
+    assert acct.dedup_hits == 0
+
+    requests[:] = [((0.5, 0.0), "A"), ((0.1, 0.0), "C")]
+    with pytest.raises(RuntimeError):
+        acct.spend_keyed(requests, raising)
+    assert acct.dedup_hits == 0
+
+    outcomes = acct.spend_keyed(requests, produce)
+    assert [deduped for _, deduped in outcomes] == [True, False]
+    assert acct.dedup_hits == 1
+    requests[:] = [((0.5, 0.0), "A")]
+    assert acct.spend_keyed(requests, produce)[0][1]
+    assert acct.dedup_hits == 2
+    acct.close()
